@@ -1,21 +1,9 @@
-"""Analysis utilities: spectral checks, statistics, report rendering."""
+"""Analysis utilities: statistics and report rendering."""
 
-from repro.analysis.eigen import (
-    adjacency_matrix,
-    edge_boundary_fraction,
-    max_detectable_fraction,
-    second_eigenvalue,
-    spectral_ratio,
-)
 from repro.analysis.stats import ecdf, mean, percentile, stddev, summarize
 from repro.analysis.report import render_series, render_table, render_timeseries
 
 __all__ = [
-    "adjacency_matrix",
-    "edge_boundary_fraction",
-    "max_detectable_fraction",
-    "second_eigenvalue",
-    "spectral_ratio",
     "ecdf",
     "mean",
     "percentile",

@@ -23,7 +23,8 @@ under a minute" style guarantees.  A pattern matching no case is an error
 
 The process exit code encodes the verdict: 0 clean, 1 regression /
 budget breach (or drift when ``--require-determinism`` is set), 2
-usage/IO error.
+usage/IO error — including a malformed report: a duplicated case name,
+a failed case, or a case without a positive throughput.
 """
 
 from __future__ import annotations
@@ -154,18 +155,8 @@ def compare_reports(old: dict, new: dict) -> dict:
             f"schema mismatch: OLD is {old_schema!r}, NEW is {new_schema!r} "
             "— re-record the baseline with this version"
         )
-    old_cases = {case["name"]: case for case in old.get("cases", [])}
-    new_cases = {case["name"]: case for case in new.get("cases", [])}
-    for label, cases in (("OLD", old_cases), ("NEW", new_cases)):
-        for name, case in cases.items():
-            # A report without a positive throughput number would make
-            # the regression check silently vacuous (speedup == None,
-            # regressed() == False) while the determinism check skips
-            # the field as nondeterministic — reject it instead.
-            if not case.get("events_per_wall_s", 0) > 0:
-                raise ValueError(
-                    f"{label} case {name!r} has no positive events_per_wall_s"
-                )
+    old_cases = _cases_by_name("OLD", old)
+    new_cases = _cases_by_name("NEW", new)
     deltas = [
         CaseDelta(old_cases[name], new_cases[name])
         for name in old_cases
@@ -176,6 +167,28 @@ def compare_reports(old: dict, new: dict) -> dict:
         "missing": sorted(set(old_cases) - set(new_cases)),
         "added": sorted(set(new_cases) - set(old_cases)),
     }
+
+
+def _cases_by_name(label: str, report: dict) -> dict:
+    """Index a report's cases by name, rejecting unusable ones."""
+    cases: dict = {}
+    for case in report.get("cases", []):
+        name = case["name"]
+        if name in cases:
+            # Keying by name would silently keep only the last duplicate.
+            raise ValueError(f"{label} has duplicate case name {name!r}")
+        if "error" in case:
+            raise ValueError(f"{label} case {name!r} failed: {case['error']}")
+        # A report without a positive throughput number would make the
+        # regression check silently vacuous (speedup == None, regressed()
+        # == False) while the determinism check skips the field as
+        # nondeterministic — reject it instead.
+        if not case.get("events_per_wall_s", 0) > 0:
+            raise ValueError(
+                f"{label} case {name!r} has no positive events_per_wall_s"
+            )
+        cases[name] = case
+    return cases
 
 
 def render_comparison(comparison: dict, threshold: float) -> str:

@@ -33,7 +33,8 @@ The report schema (``repro.bench/v2``)::
                                         # (absent for harnesses without a
                                         # ledger or with --no-check-invariants)
           "peak_rss_kb": 48560,            # nondeterministic (machine-local)
-          "alloc_peak_bytes": null         # set when run with --mem
+          "alloc_peak_bytes": null,        # set when run with --mem
+          "error": "ValueError: ..."       # only on a case that raised
         }, ...
       ]
     }
@@ -42,16 +43,31 @@ Everything except the fields named in :data:`NONDETERMINISTIC_FIELDS`
 (wall-clock timings and memory measurements) is derived from virtual
 time and counters, so two same-seed runs produce identical values — the
 property the regression tests and ``python -m repro.bench compare`` pin.
+
+The same case records also render as a long-format CSV
+(:func:`csv_text`: one ``scenario,profile,system,n,seed,metric,value``
+row per scalar result), whose sha256 (:func:`csv_hash`) is the
+determinism fingerprint of a grid run.
+
+Failure accounting: a case whose scenario raises (including an
+:class:`~repro.obs.invariants.InvariantViolation` from the safety
+monitor) becomes a :class:`CaseResult` with ``error`` set — an ``error``
+field in the JSON report and a single ``error,1`` CSV row — instead of
+vanishing.  :meth:`BenchRunner.run` stops at the first failed case unless
+``keep_going=True``.  Scenario exceptions are simulation-deterministic,
+so error rows hash like any other row.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import platform
 import subprocess
 import sys
 import time
+import traceback
 import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +86,10 @@ __all__ = [
     "BenchRunner",
     "CaseResult",
     "NONDETERMINISTIC_FIELDS",
+    "CSV_HEADER",
+    "csv_hash",
+    "csv_rows",
+    "csv_text",
     "write_report",
     "render_report",
     "write_timeseries_csv",
@@ -108,12 +128,12 @@ class CaseResult:
 
     spec: BenchSpec
     wall_s: float
-    engine_wall_s: float
-    virtual_s: float
-    events_processed: int
-    messages: dict
-    metrics: dict
-    result: dict
+    engine_wall_s: float = 0.0
+    virtual_s: float = 0.0
+    events_processed: int = 0
+    messages: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
+    result: dict = field(default_factory=dict)
     #: Process high-water RSS (KB) sampled after the case; monotone over a
     #: suite run, so only growth between cases is attributable to a case.
     peak_rss_kb: Optional[int] = None
@@ -133,6 +153,9 @@ class CaseResult:
     #: derivable — and exported on demand via :func:`write_timeseries_csv`
     #: (``python -m repro.bench --timeseries out.csv``).
     series: dict = field(default_factory=dict)
+    #: ``"ExceptionType: message"`` when the scenario raised; the case's
+    #: measurements are then empty.
+    error: Optional[str] = None
 
     @property
     def events_per_wall_s(self) -> float:
@@ -163,6 +186,8 @@ class CaseResult:
         }
         if self.invariants is not None:
             payload["invariants"] = self.invariants
+        if self.error is not None:
+            payload["error"] = self.error
         return payload
 
 
@@ -205,17 +230,31 @@ class BenchRunner:
     # -------------------------------------------------------------- execution
 
     def run_case(self, spec: BenchSpec) -> CaseResult:
-        """Execute one spec and harvest its measurements."""
+        """Execute one spec and harvest its measurements.
+
+        A scenario that raises yields a case with ``error`` set rather
+        than propagating the exception.
+        """
         alloc_peak: Optional[int] = None
         if self.track_alloc:
             tracemalloc.start()
             tracemalloc.reset_peak()
         started = time.perf_counter()
-        outcome = self._execute(spec)
+        try:
+            fn = scenarios.SCENARIO_FUNCTIONS[spec.scenario]
+            outcome = fn(spec.system, spec.n, seed=spec.seed, **spec.params)
+        except Exception as exc:
+            self._log(traceback.format_exc())
+            return CaseResult(
+                spec=spec,
+                wall_s=time.perf_counter() - started,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        finally:
+            if self.track_alloc:
+                _, alloc_peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
         wall_s = time.perf_counter() - started
-        if self.track_alloc:
-            _, alloc_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
         peak_rss_kb: Optional[int] = None
         if resource is not None:
             peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -272,24 +311,25 @@ class BenchRunner:
             series=_series(outcome),
         )
 
-    def run(self, specs: Iterable[BenchSpec]) -> list:
+    def run(self, specs: Iterable[BenchSpec], keep_going: bool = False) -> list:
+        """Run specs in order; stop after the first failed case unless
+        ``keep_going`` (the failed case is kept in the results either way).
+        """
         results = []
         for spec in specs:
             self._log(f"running {spec.name} ...")
             case = self.run_case(spec)
+            results.append(case)
+            if case.error is not None:
+                self._log(f"  ERROR {case.error}")
+                if not keep_going:
+                    break
+                continue
             self._log(
                 f"  {case.wall_s:.2f}s wall, {case.virtual_s:.0f}s virtual, "
                 f"{case.events_processed} events"
             )
-            results.append(case)
         return results
-
-    def _execute(self, spec: BenchSpec) -> dict:
-        try:
-            fn = scenarios.SCENARIO_FUNCTIONS[spec.scenario]
-        except KeyError:
-            raise ValueError(f"unknown scenario {spec.scenario!r}")
-        return fn(spec.system, spec.n, seed=spec.seed, **dict(spec.params))
 
 
 def _class_row(count: int, byte_total: int, duplicates: int, reordered: int) -> dict:
@@ -330,6 +370,10 @@ def render_report(cases: Sequence[CaseResult]) -> str:
     """The paper-shaped ASCII summary of a benchmark run."""
     rows = []
     for case in cases:
+        if case.error is not None:
+            rows.append([case.spec.name, f"{case.wall_s:.2f}"]
+                        + ["-"] * 6 + [f"FAILED {case.error}"])
+            continue
         msgs = case.messages
         rows.append(
             [
@@ -472,6 +516,72 @@ def write_timeseries_csv(cases: Sequence[CaseResult], path: str) -> Path:
             for t, rps in case.series.get("app_goodput", ()):
                 writer.writerow([name, "app_goodput", t, rps])
     return out
+
+
+#: Header of the long-format CSV view (:func:`csv_text`).
+CSV_HEADER = "scenario,profile,system,n,seed,metric,value"
+
+#: Result keys that duplicate a CSV row's identity columns.
+_IDENTITY_KEYS = frozenset({"system", "n", "profile"})
+
+
+def _csv_value(value) -> Optional[str]:
+    """Canonical CSV rendering of one scalar metric, or None to skip.
+
+    Bools become 0/1, None becomes ``NA`` (ran, no measurement — e.g.
+    detection latency when nothing was evicted); floats use ``repr`` for
+    shortest-roundtrip stability.  Containers and strings are skipped.
+    """
+    if value is None:
+        return "NA"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    return None
+
+
+def csv_rows(case: CaseResult) -> list:
+    """One case as long-format rows, in sorted metric order.
+
+    A failed case is the single row ``error,1``.  When the scenario does
+    not report ``invariant_checks`` itself, the ledger's ``checked`` count
+    fills it in, so every row set certifies how many view installations
+    the safety monitor validated.
+    """
+    spec = case.spec
+    identity = (
+        spec.scenario,
+        str(spec.params.get("profile", "-")),
+        spec.system,
+        str(spec.n),
+        str(spec.seed),
+    )
+    if case.error is not None:
+        return [identity + ("error", "1")]
+    result = case.result
+    if "invariant_checks" not in result and case.invariants is not None:
+        result = {**result, "invariant_checks": case.invariants["checked"]}
+    rows = []
+    for metric in sorted(result):
+        rendered = _csv_value(result[metric])
+        if metric not in _IDENTITY_KEYS and rendered is not None:
+            rows.append(identity + (metric, rendered))
+    return rows
+
+
+def csv_text(cases: Sequence[CaseResult]) -> str:
+    """The long-format CSV of every case (header + rows, LF endings)."""
+    lines = [CSV_HEADER]
+    lines.extend(",".join(row) for case in cases for row in csv_rows(case))
+    return "\n".join(lines) + "\n"
+
+
+def csv_hash(cases: Sequence[CaseResult]) -> str:
+    """sha256 over :func:`csv_text` — the determinism fingerprint."""
+    return hashlib.sha256(csv_text(cases).encode("utf-8")).hexdigest()
 
 
 def _scalars(outcome: dict) -> dict:

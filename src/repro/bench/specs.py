@@ -1,4 +1,4 @@
-"""Declarative benchmark specifications.
+"""Declarative benchmark specifications: named suites and ad-hoc grids.
 
 A :class:`BenchSpec` names one measured run: scenario × system × cluster
 size × seed × fault profile.  Suites are functions from a scale factor to
@@ -8,26 +8,47 @@ suite definitions.
 The ``quick`` suite is the regression gate: it must stay cheap enough to
 run in CI on every change.  The ``full`` suite approaches the paper's
 operating points and is meant for dedicated benchmark runs.
+
+A grid (:func:`grid_specs`) is the ad-hoc counterpart of a suite: a
+mapping of axis names to value lists whose cartesian product expands to
+the same ``list[BenchSpec]``.  Three input forms parse to the same thing:
+
+* compact string — ``scenario=adversary;systems=rapid,memberlist;``
+  ``profiles=flip_flop,slow_process;n=24;seeds=1,2`` (axes separated by
+  ``;``, values by ``,``; ints/floats/bools are auto-typed);
+* JSON object — the same axes as a dict, with proper lists
+  (``{"systems": ["rapid"], "profile_overrides": {"loss": 0.5}}``; a
+  dict-valued key is a single param, not an axis);
+* JSON list — several objects, expanded independently and concatenated
+  (ragged grids: different windows per system, say).
+
+Each form may be given inline or as a path to a ``.json`` file.  Axis
+names ``scenario(s)``, ``system(s)``, ``profile(s)``, ``n``/``ns`` and
+``seed(s)`` map to the spec's identity; every other key becomes a
+scenario keyword argument, and list-valued extras are swept like any
+axis.  The ``profile`` axis only applies to scenarios whose function
+takes a ``profile`` argument (:func:`takes_profile`); for every other
+scenario it collapses away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+import inspect
+import itertools
+import json
+import os
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Mapping
 
-__all__ = ["BenchSpec", "SUITES", "suite_specs"]
+from repro.experiments.scenarios import SCENARIO_FUNCTIONS
 
-SCENARIOS = (
-    "bootstrap",
-    "crash",
-    "join_churn",
-    "packet_loss",
-    "adversary",
-    "partition_heal",
-    "service_discovery",
-    "txn_platform",
-    "live_bootstrap",
-)
+__all__ = ["BenchSpec", "SUITES", "grid_specs", "suite_specs", "takes_profile"]
+
+
+def takes_profile(scenario: str) -> bool:
+    """Whether the scenario's function accepts a ``profile=`` fault profile."""
+    fn = SCENARIO_FUNCTIONS.get(scenario)
+    return fn is not None and "profile" in inspect.signature(fn).parameters
 
 
 def _format_param(value) -> str:
@@ -49,8 +70,8 @@ class BenchSpec:
     Parameters
     ----------
     scenario:
-        One of ``bootstrap``, ``crash``, ``packet_loss`` — dispatched to
-        the matching :mod:`repro.experiments.scenarios` function.
+        A key of :data:`repro.experiments.scenarios.SCENARIO_FUNCTIONS`,
+        dispatched to that function.
     system:
         Harness name from :data:`repro.experiments.harness.SYSTEMS`.
     n:
@@ -69,9 +90,10 @@ class BenchSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in SCENARIO_FUNCTIONS:
             raise ValueError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
+                f"unknown scenario {self.scenario!r}; "
+                f"choose from {sorted(SCENARIO_FUNCTIONS)}"
             )
 
     @property
@@ -339,3 +361,113 @@ def suite_specs(suite: str, scale: float = 1.0) -> list:
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     return [spec.scaled(scale) for spec in factory()]
+
+
+# ------------------------------------------------------------------- grids
+
+#: Grid axis aliases → canonical identity-field name.
+_AXIS_ALIASES = {
+    "scenario": "scenario",
+    "scenarios": "scenario",
+    "system": "system",
+    "systems": "system",
+    "profile": "profile",
+    "profiles": "profile",
+    "n": "n",
+    "ns": "n",
+    "seed": "seed",
+    "seeds": "seed",
+}
+
+_AXIS_DEFAULTS = {
+    "scenario": ("adversary",),
+    "system": ("rapid",),
+    "profile": ("flip_flop",),
+    "n": (24,),
+    "seed": (1,),
+}
+
+
+def _parse_scalar(token: str):
+    """Best-effort typing of one compact-string value."""
+    low = token.lower()
+    if low in ("true", "false"):
+        return low == "true"
+    for cast in (int, float):
+        try:
+            return cast(token)
+        except ValueError:
+            pass
+    return token
+
+
+def _parse_compact(spec: str) -> dict:
+    grid: dict = {}
+    for clause in spec.split(";"):
+        clause = clause.strip()
+        if not clause:
+            continue
+        key, sep, values = clause.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ValueError(
+                f"bad grid clause {clause!r}: expected key=value[,value...]"
+            )
+        grid[key] = [_parse_scalar(v.strip()) for v in values.split(",")]
+    if not grid:
+        raise ValueError(f"empty grid spec {spec!r}")
+    return grid
+
+
+def _expand_block(block: Mapping) -> list:
+    """Cartesian-product one grid block into specs."""
+    axes = dict(_AXIS_DEFAULTS)
+    extras: dict = {}
+    for key, value in block.items():
+        values = list(value) if isinstance(value, (list, tuple)) else [value]
+        canon = _AXIS_ALIASES.get(key)
+        if canon is not None:
+            axes[canon] = values
+        else:
+            # Dict-valued params (e.g. profile_overrides, settings) are a
+            # single argument, never an axis.
+            extras[key] = [value] if isinstance(value, Mapping) else values
+    extra_keys = sorted(extras)
+    specs = []
+    for scenario, system, profile, n, seed in itertools.product(
+        axes["scenario"], axes["system"], axes["profile"], axes["n"], axes["seed"]
+    ):
+        scenario = str(scenario)
+        for combo in itertools.product(*(extras[k] for k in extra_keys)):
+            params = dict(zip(extra_keys, combo))
+            if takes_profile(scenario):
+                params["profile"] = str(profile)
+            specs.append(
+                BenchSpec(scenario, str(system), int(n), int(seed), params)
+            )
+    return specs
+
+
+def grid_specs(spec: str) -> list:
+    """Expand a grid spec (compact string, inline JSON, or JSON file path).
+
+    Returns the specs in axis order (scenario, system, profile, n, seed,
+    then sorted extras), without exact duplicates — a profile axis
+    crossed with a profile-less scenario, or overlapping JSON blocks,
+    yields each run once.  Raises ``ValueError`` on a malformed spec.
+    """
+    spec = spec.strip()
+    if spec.endswith(".json") or os.path.isfile(spec):
+        with open(spec, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    elif spec.startswith(("{", "[")):
+        data = json.loads(spec)
+    else:
+        data = _parse_compact(spec)
+    unique: dict = {}
+    for block in data if isinstance(data, list) else [data]:
+        if not isinstance(block, Mapping):
+            raise ValueError(f"grid block must be an object, got {block!r}")
+        for case in _expand_block(block):
+            unique.setdefault(json.dumps(asdict(case), sort_keys=True), case)
+    return list(unique.values())

@@ -9,9 +9,8 @@ the same process can precede a subject on several rings, which is why alert
 messages carry ring numbers rather than just observer addresses).
 
 The union of the rings is a random ``2K``-regular multigraph, which is a
-good expander with high probability [Friedman-Kahn-Szemerédi, STOC'89]; see
-:mod:`repro.analysis.eigen` for the second-eigenvalue measurement backing
-the paper's section 8 analysis.
+good expander with high probability [Friedman-Kahn-Szemerédi, STOC'89],
+which backs the paper's section 8 analysis.
 
 The topology is **deterministic over the membership set**: every process
 that installs the same configuration computes identical rings without any

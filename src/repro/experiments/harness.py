@@ -277,7 +277,7 @@ def harness_for(system: str, seed: int = 0, **kwargs):
     and is instantiated here for the Rapid harnesses.  Likewise ``config``
     may be a plain dict of the baseline harness's config-dataclass fields
     (``SwimConfig``, ``GossipFdConfig``, ``ZkConfig``, ``AkkaConfig``), the
-    form sweep grids use.
+    form benchmark grids use.
     """
     try:
         factory = SYSTEMS[system]

@@ -355,7 +355,7 @@ def adversary_experiment(
     ``now + fault_at``, installs its rules and schedules its crash/recover
     actions, and samples every healthy process's view through a
     :class:`~repro.obs.scorecard.StabilityScorecard` for ``observe_for``
-    seconds.  The returned dict is flat scalars (sweep-CSV friendly) plus
+    seconds.  The returned dict is flat scalars (long-format-CSV friendly) plus
     the usual ``timeseries``/``harness`` keys.
     """
     harness = harness_for(system, seed=seed, **harness_kwargs)
@@ -526,7 +526,9 @@ def sensitivity_experiment(
     to each (sampled) process in a uniform random order, and count processes
     whose first proposal does not contain the full failed set.
 
-    Returns ``{(h, l, f): conflict_rate_percent}``.
+    Returns ``{"k": k, "n": n, "conflict_rates": rates}`` where ``rates``
+    maps ``(h, l, f)`` to the conflict rate in percent; combinations
+    violating ``1 <= l <= h <= k`` are skipped.
     """
     rng = child_rng(seed, "sensitivity")
     members = [endpoint_for(i) for i in range(n)]
@@ -844,10 +846,11 @@ def txn_platform_experiment(
     )
 
 
-#: Harness-driven scenarios addressable by name — the dispatch table shared
-#: by the benchmark runner (:mod:`repro.bench`) and the sweep harness
-#: (:mod:`repro.sweep`).  Every entry takes ``(system, n, seed=..., **params)``
-#: and returns a result dict carrying a ``"harness"`` key.
+#: Harness-driven scenarios addressable by name — the dispatch table of the
+#: benchmark runner (:mod:`repro.bench`), whose suites and grids both run
+#: through it.  Every entry takes ``(system, n, seed=..., **params)`` and
+#: returns a result dict carrying a ``"harness"`` key; the entries that also
+#: take ``profile=`` are the fault-profile-aware ones.
 SCENARIO_FUNCTIONS = {
     "bootstrap": bootstrap_experiment,
     "crash": crash_experiment,

@@ -4,8 +4,8 @@ A :class:`FaultProfile` is a named recipe — "flip-flopping one-way loss on
 1% of processes", "whole-rack crash" — that :func:`compile_profile` turns
 into concrete network rules (:mod:`repro.sim.faults`) plus timed process
 actions, deterministically from a seed.  The adversary experiment
-(:func:`repro.experiments.scenarios.adversary_experiment`) and the sweep
-harness (:mod:`repro.sweep`) select scenarios by profile name, so every
+(:func:`repro.experiments.scenarios.adversary_experiment`) and benchmark
+grids (:func:`repro.bench.specs.grid_specs`) select scenarios by profile name, so every
 "what happens when…?" question is a registry entry rather than bespoke
 driver code.
 

@@ -5,7 +5,7 @@ directly with scripted views, and run the accrual-detector probe profiles
 (``slow_process``/``stalled_process``) plus the Figure 9 flip-flop profile
 against Rapid at sizes tier-1 can afford.  The ``slow``-marked test runs
 the full n=256 stability-gap comparison (Rapid vs SWIM vs gossip-FD under
-the identical flip-flop profile) through the sweep harness, asserting the
+the identical flip-flop profile) as a benchmark grid, asserting the
 paper's headline: Rapid holds its view while the baselines flap.
 """
 
@@ -15,8 +15,8 @@ from repro.experiments.scenarios import adversary_experiment
 from repro.obs.scorecard import StabilityScorecard
 from repro.sim.engine import Engine
 from repro.sim.fault_profiles import compile_profile, profile_names
-from repro.sweep.grid import parse_grid
-from repro.sweep.runner import run_sweep, sweep_hash, write_sweep_csv
+from repro.bench.runner import BenchRunner, csv_hash, csv_rows, csv_text
+from repro.bench.specs import grid_specs
 
 
 class TestScorecard:
@@ -208,14 +208,15 @@ STABILITY_GAP_GRID = [
 
 @pytest.mark.slow
 class TestStabilityGap:
-    def test_flip_flop_gap_at_n256_via_sweep(self, tmp_path):
+    def test_flip_flop_gap_at_n256_via_grid(self, tmp_path):
         import json
 
-        points = parse_grid(json.dumps(STABILITY_GAP_GRID))
-        assert [p.system for p in points] == ["rapid", "memberlist", "gossip-fd"]
-        rows = run_sweep(points)
-        write_sweep_csv(rows, str(tmp_path / "stability_gap.csv"))
-        assert len(sweep_hash(rows)) == 64
+        specs = grid_specs(json.dumps(STABILITY_GAP_GRID))
+        assert [s.system for s in specs] == ["rapid", "memberlist", "gossip-fd"]
+        cases = BenchRunner(log=None).run(specs)
+        rows = [row for case in cases for row in csv_rows(case)]
+        (tmp_path / "stability_gap.csv").write_text(csv_text(cases))
+        assert len(csv_hash(cases)) == 64
 
         def metric(system, name):
             for row in rows:

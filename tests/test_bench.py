@@ -1,9 +1,11 @@
-"""Tests for the repro.bench benchmark subsystem."""
+"""Tests for the repro.bench benchmark subsystem; grid sweeps are in test_sweep.py."""
 
 import json
 
 import pytest
 
+from repro.analysis.stats import load_sweep_csv
+from repro.bench.__main__ import main
 from repro.bench.runner import (
     NONDETERMINISTIC_FIELDS,
     BenchRunner,
@@ -11,7 +13,19 @@ from repro.bench.runner import (
     render_report,
     write_report,
 )
-from repro.bench.specs import BenchSpec, suite_specs
+from repro.bench.specs import BenchSpec, suite_specs, takes_profile
+from repro.experiments.scenarios import SCENARIO_FUNCTIONS
+
+TINY_GRID = (
+    "scenario=adversary;system=rapid;profiles=flip_flop;n=16;seeds=1,2;"
+    "fault_at=5;observe_for=20;settle_timeout=60"
+)
+
+# partition_heal requires a Rapid harness, so pointing it at memberlist
+# raises deterministically — a cheap stand-in for any scenario failure
+# (including a safety InvariantViolation).
+FAILING = BenchSpec("partition_heal", "memberlist", 8, seed=1)
+GOOD = BenchSpec("bootstrap", "rapid", 8, seed=1)
 
 
 class TestSpecs:
@@ -48,6 +62,16 @@ class TestSpecs:
     def test_name_encodes_fault_profile(self):
         spec = BenchSpec("packet_loss", "rapid", 8, seed=2, params={"loss": 0.8})
         assert spec.name == "packet_loss/rapid/n8/s2/loss=0.8"
+
+    def test_profile_scenarios_derived_from_signatures(self):
+        assert set(SCENARIO_FUNCTIONS) == {
+            "bootstrap", "crash", "join_churn", "packet_loss", "adversary",
+            "partition_heal", "service_discovery", "txn_platform",
+            "live_bootstrap",
+        }
+        assert {s for s in SCENARIO_FUNCTIONS if takes_profile(s)} == {
+            "adversary", "service_discovery", "txn_platform",
+        }
 
 
 class TestRunner:
@@ -145,13 +169,49 @@ class TestRunner:
 
     def test_render_report_mentions_every_case(self):
         runner = BenchRunner(log=None)
-        cases = runner.run([BenchSpec("bootstrap", "rapid", 8, seed=1)])
+        cases = runner.run([FAILING, GOOD], keep_going=True)
         text = render_report(cases)
         assert "bootstrap/rapid/n8/s1" in text
         assert "converged@" in text
+        assert "partition_heal/memberlist/n8/s1" in text
+        assert "FAILED" in text
 
 
 class TestJsonOutput:
+    def test_grid_json_report_and_csv_view_agree(self, tmp_path):
+        grid = json.dumps(
+            [
+                {"scenario": "adversary", "systems": ["rapid", "memberlist"],
+                 "n": 16, "fault_at": 5, "observe_for": 20},
+                {"scenario": "crash", "system": "rapid", "n": 8, "failures": 2},
+            ]
+        )
+        out, csv_out = tmp_path / "g.json", tmp_path / "g.csv"
+        assert main(["--grid", grid, "--quiet", "--out", str(out),
+                     "--csv", str(csv_out)]) == 0
+        cases = json.loads(out.read_text())["cases"]
+        rows = load_sweep_csv(str(csv_out))
+        assert len(cases) == 3
+        for case in cases:
+            expected = {
+                key: value for key, value in case["result"].items()
+                if key not in ("system", "n", "profile")
+                and (value is None or isinstance(value, (int, float)))
+            }
+            if "invariants" in case:
+                expected.setdefault("invariant_checks", case["invariants"]["checked"])
+            got = {
+                row["metric"]: row["value"] for row in rows
+                if (row["scenario"], row["system"], row["n"], row["seed"])
+                == (case["scenario"], case["system"], case["n"], case["seed"])
+            }
+            assert got == {k: None if v is None else float(v)
+                           for k, v in expected.items()}
+            profile = {row["profile"] for row in rows
+                       if row["system"] == case["system"]
+                       and row["scenario"] == case["scenario"]}
+            assert profile == {case["params"].get("profile", "-")}
+
     def test_report_schema_and_roundtrip(self, tmp_path):
         runner = BenchRunner(log=None)
         cases = runner.run([BenchSpec("bootstrap", "rapid", 8, seed=1)])
@@ -202,6 +262,23 @@ class TestCli:
         assert main(["--suite", "quick", "--filter", "bootstrap", "--list"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out and all("bootstrap" in line for line in out)
+        assert main(["--grid", TINY_GRID, "--filter", "s2", "--list"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == ["adversary/rapid/n16/s2/fault_at=5/observe_for=20/profile=flip_flop"]
+
+    def test_selection_usage_errors_exit_2(self):
+        assert main(["--grid", "scenario=warp"]) == 2
+        with pytest.raises(SystemExit) as exc:  # --suite and --grid exclude
+            main(["--suite", "quick", "--grid", TINY_GRID, "--list"])
+        assert exc.value.code == 2
+
+    def test_duplicate_case_names_exit_2(self, capsys):
+        # Timeout params are left out of case names, so two timeouts
+        # yield one name that --filter, --budget and compare cannot split.
+        grid = "scenario=crash;system=rapid;n=8;seed=0;settle_timeout=30,60"
+        assert main(["--grid", grid, "--list"]) == 2
+        assert "duplicate case names: crash/rapid/n8/s0" in capsys.readouterr().err
+        assert main(["--grid", grid.replace("30,60", "30"), "--list"]) == 0
 
     def test_filter_without_match_errors(self, capsys):
         from repro.bench.__main__ import main
@@ -350,6 +427,28 @@ class TestCompare:
 
         old = self._report(tmp_path, "old.json", [self._case("a", 1000.0)])
         assert main(["compare", old, str(tmp_path / "missing.json")]) == 2
+
+    def test_duplicate_case_name_is_malformed(self, tmp_path, capsys):
+        # compare keys cases by name; a duplicate would silently keep only
+        # the last one.
+        from repro.bench.__main__ import main
+
+        old = self._report(tmp_path, "old.json", [self._case("a", 1000.0)])
+        dup = self._report(
+            tmp_path, "dup.json", [self._case("a", 1000.0), self._case("a", 1000.0)]
+        )
+        assert main(["compare", old, dup]) == 2
+        assert main(["compare", dup, old]) == 2
+        assert "duplicate case name" in capsys.readouterr().out
+
+    def test_failed_case_is_malformed(self, tmp_path, capsys):
+        from repro.bench.__main__ import main
+
+        old = self._report(tmp_path, "old.json", [self._case("a", 1000.0)])
+        failed = self._case("a", 0.0, extra={"error": "ValueError: boom"})
+        new = self._report(tmp_path, "new.json", [failed])
+        assert main(["compare", old, new]) == 2
+        assert "failed: ValueError: boom" in capsys.readouterr().out
 
     def test_malformed_report_is_usage_error(self, tmp_path, capsys):
         from repro.bench.__main__ import main

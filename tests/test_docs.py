@@ -9,7 +9,8 @@ CLI flags dropped.  This test walks ``README.md`` and every page under
 * dotted ``repro.*`` module references import, and a trailing attribute
   (``repro.bench.runner.NONDETERMINISTIC_FIELDS``) resolves on the
   module;
-* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers.
+* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers
+  (run, ``compare`` and ``summarize``).
 
 Run as part of tier-1 (and as a dedicated CI step), so a PR that renames
 something the docs point at fails until the docs follow.
@@ -130,19 +131,21 @@ def test_bench_cli_flags_in_docs_exist():
     assert documented, "no repro.bench CLI examples found in docs"
     from repro.bench.__main__ import main  # noqa: F401  (import check)
 
-    # Collect the real option strings from both parsers.
+    # Collect the real option strings from the run, compare and
+    # summarize parsers.
     import argparse
     import unittest.mock as mock
 
     real = set()
     captured = []
-    orig = argparse.ArgumentParser.add_argument
+    # Patch the shared base so flags added to argument groups count too.
+    orig = argparse._ActionsContainer.add_argument
 
     def record(self, *args, **kwargs):
         captured.extend(a for a in args if isinstance(a, str) and a.startswith("--"))
         return orig(self, *args, **kwargs)
 
-    with mock.patch.object(argparse.ArgumentParser, "add_argument", record):
+    with mock.patch.object(argparse._ActionsContainer, "add_argument", record):
         try:
             from repro.bench.__main__ import main as run_main
 
@@ -153,6 +156,10 @@ def test_bench_cli_flags_in_docs_exist():
             from repro.bench.compare import main as cmp_main
 
             cmp_main(["--help"])
+        except SystemExit:
+            pass
+        try:
+            run_main(["summarize", "--help"])
         except SystemExit:
             pass
     real.update(captured)

@@ -274,11 +274,11 @@ def test_live_wire_delay_rules_are_kept_separate():
 
 
 def test_live_bootstrap_scenario_is_registered():
-    from repro.bench.specs import SCENARIOS, suite_specs
+    from repro.bench.specs import BenchSpec, suite_specs
     from repro.experiments.scenarios import SCENARIO_FUNCTIONS
 
     assert "live_bootstrap" in SCENARIO_FUNCTIONS
-    assert "live_bootstrap" in SCENARIOS
+    assert BenchSpec("live_bootstrap", "rapid", 8).scenario == "live_bootstrap"
     specs = suite_specs("live")
     assert [spec.n for spec in specs] == [50, 150]
     with pytest.raises(ValueError):

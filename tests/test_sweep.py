@@ -1,21 +1,21 @@
-"""Tests for the sweep harness: grid parsing, CSV shape, determinism."""
+"""Tests for grid sweeps through repro.bench: grid parsing, the CSV view,
+determinism, failure accounting and the summarize subcommand."""
 
 import json
 
 import pytest
 
-from repro.sweep.grid import SweepPoint, expand_grid, parse_grid
-from repro.sweep.runner import (
+from repro.analysis.stats import load_sweep_csv, summarize_sweep
+from repro.bench.__main__ import main
+from repro.bench.runner import (
     CSV_HEADER,
-    failed_points,
-    point_rows,
-    rows_to_csv,
-    run_point,
-    run_sweep,
-    sweep_hash,
-    write_sweep_csv,
+    BenchRunner,
+    CaseResult,
+    csv_hash,
+    csv_rows,
+    csv_text,
 )
-from repro.sweep.__main__ import main as sweep_main
+from repro.bench.specs import BenchSpec, grid_specs
 
 TINY_GRID = (
     "scenario=adversary;system=rapid;profiles=flip_flop;n=16;seeds=1,2;"
@@ -25,53 +25,59 @@ TINY_GRID = (
 
 class TestGridParsing:
     def test_compact_string_axes_and_typing(self):
-        points = parse_grid(
+        specs = grid_specs(
             "scenario=adversary;systems=rapid,memberlist;profiles=flip_flop;"
-            "n=16,24;seeds=1,2;observe_for=30.5"
+            "n=16,24;seeds=1,2;observe_for=30.5;fault_at=5;quiet=true"
         )
-        assert len(points) == 2 * 2 * 2  # systems x n x seeds
-        assert {p.system for p in points} == {"rapid", "memberlist"}
-        assert {p.n for p in points} == {16, 24}
-        assert all(isinstance(p.n, int) for p in points)
-        assert all(p.params == (("observe_for", 30.5),) for p in points)
+        assert len(specs) == 2 * 2 * 2  # systems x n x seeds
+        assert {s.system for s in specs} == {"rapid", "memberlist"}
+        assert {s.n for s in specs} == {16, 24}
+        assert all(isinstance(s.n, int) for s in specs)
+        assert all(
+            s.params == {"observe_for": 30.5, "fault_at": 5, "quiet": True,
+                         "profile": "flip_flop"}
+            for s in specs
+        )
+        assert all(isinstance(s.params["fault_at"], int) for s in specs)
 
     def test_singular_and_plural_aliases_agree(self):
-        singular = parse_grid("scenario=adversary;system=rapid;seed=1;n=16")
-        plural = parse_grid("scenarios=adversary;systems=rapid;seeds=1;ns=16")
+        singular = grid_specs("scenario=adversary;system=rapid;seed=1;n=16")
+        plural = grid_specs("scenarios=adversary;systems=rapid;seeds=1;ns=16")
         assert singular == plural
 
     def test_json_object_and_list_blocks(self):
         block = {"scenario": "adversary", "systems": ["rapid"], "seeds": [1, 2]}
-        points = parse_grid(json.dumps(block))
-        assert len(points) == 2
-        ragged = parse_grid(json.dumps([block, {**block, "n": 32}]))
+        assert len(grid_specs(json.dumps(block))) == 2
+        ragged = grid_specs(json.dumps([block, {**block, "n": 32}]))
         assert len(ragged) == 4
-        assert {p.n for p in ragged} == {24, 32}
+        assert {s.n for s in ragged} == {24, 32}
+        # Overlapping blocks yield each run once.
+        assert grid_specs(json.dumps([block, block])) == grid_specs(json.dumps(block))
 
     def test_json_grid_file(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"systems": ["rapid"], "seeds": [7]}))
-        (point,) = parse_grid(str(path))
-        assert point.seed == 7
+        (spec,) = grid_specs(str(path))
+        assert spec.seed == 7
 
     def test_profile_axis_dropped_for_non_adversary_scenarios(self):
-        points = parse_grid(
+        specs = grid_specs(
             "scenario=bootstrap;system=rapid;profiles=flip_flop,slow_process;"
             "n=16;seed=1"
         )
-        # Both profile values collapse to the same bootstrap point.
-        assert len(points) == 1
-        assert points[0].profile == "-"
-        assert "profile" not in points[0].call_kwargs()
+        # Both profile values collapse to the same bootstrap run.
+        assert specs == [BenchSpec("bootstrap", "rapid", 16, seed=1)]
 
     def test_adversary_points_pass_profile_through(self):
-        (point,) = parse_grid(
+        (spec,) = grid_specs(
             "scenario=adversary;system=rapid;profile=egress_loss;n=16;seed=1"
         )
-        assert point.call_kwargs()["profile"] == "egress_loss"
+        assert spec.params == {"profile": "egress_loss"}
+        assert spec.name == "adversary/rapid/n16/s1/profile=egress_loss"
 
     def test_dict_valued_params_stay_scalar_and_thaw(self):
-        (point,) = parse_grid(
+        # Dict-valued params stay single arguments of the scenario call.
+        (spec,) = grid_specs(
             json.dumps(
                 {
                     "systems": ["gossip-fd"],
@@ -80,22 +86,25 @@ class TestGridParsing:
                 }
             )
         )
-        kwargs = point.call_kwargs()
-        assert kwargs["config"] == {"heartbeat_interval": 2.0}
-        assert kwargs["profile_overrides"] == {"fraction": 0.05}
+        assert spec.params["config"] == {"heartbeat_interval": 2.0}
+        assert spec.params["profile_overrides"] == {"fraction": 0.05}
 
     def test_bad_specs_fail_loudly(self):
         with pytest.raises(ValueError, match="key=value"):
-            parse_grid("scenario adversary")
+            grid_specs("scenario adversary")
         with pytest.raises(ValueError, match="empty grid"):
-            parse_grid("  ;  ")
+            grid_specs("  ;  ")
+        with pytest.raises(ValueError, match="must be an object"):
+            grid_specs("[1]")
         with pytest.raises(ValueError, match="unknown scenario"):
-            run_point(SweepPoint("nope", "rapid", 4, 1))
+            grid_specs("scenario=nope;system=rapid")
 
 
 class TestRows:
     def test_point_rows_are_scalars_only(self):
-        point = SweepPoint("adversary", "rapid", 16, 1, profile="flip_flop")
+        # The CSV view keeps numbers, bools and None only, minus the keys
+        # that repeat its identity columns.
+        spec = BenchSpec("adversary", "rapid", 16, 1, {"profile": "flip_flop"})
         result = {
             "system": "rapid",  # identity: skipped
             "n": 16,  # identity: skipped
@@ -104,9 +113,9 @@ class TestRows:
             "faulty_removed": True,
             "detection_latency": None,
             "faulty": ["10.0.0.2:5000"],  # container: skipped
-            "harness": object(),  # object: skipped
+            "label": "text",  # string: skipped
         }
-        rows = point_rows(point, result)
+        rows = csv_rows(CaseResult(spec, 0.1, result=result))
         by_metric = {r[5]: r[6] for r in rows}
         assert by_metric == {
             "detection_latency": "NA",
@@ -117,71 +126,78 @@ class TestRows:
         assert all(r[:5] == ("adversary", "flip_flop", "rapid", "16", "1") for r in rows)
 
     def test_csv_shape(self):
-        rows = [("a", "b", "c", "1", "2", "m", "3")]
-        text = rows_to_csv(rows)
+        spec = BenchSpec("adversary", "rapid", 16, 1, {"profile": "flip_flop"})
+        text = csv_text([CaseResult(spec, 0.1, result={"flap_rate": 0.5})])
         assert text.splitlines()[0] == CSV_HEADER
-        assert text.endswith("a,b,c,1,2,m,3\n")
+        assert text.endswith("adversary,flip_flop,rapid,16,1,flap_rate,0.5\n")
 
 
 class TestDeterminism:
     def test_same_grid_same_seed_byte_identical(self, tmp_path):
-        points = parse_grid(TINY_GRID)
-        first = run_sweep(points)
-        second = run_sweep(points)
+        runner = BenchRunner(log=None)
+        specs = grid_specs(TINY_GRID)
+        first = csv_text(runner.run(specs))
+        second = csv_text(runner.run(specs))
         assert first == second
-        assert sweep_hash(first) == sweep_hash(second)
-        p1 = write_sweep_csv(first, str(tmp_path / "a.csv"))
-        p2 = write_sweep_csv(second, str(tmp_path / "b.csv"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        out = tmp_path / "g.csv"
+        assert main(["--grid", TINY_GRID, "--quiet", "--out", str(tmp_path / "g.json"),
+                     "--csv", str(out)]) == 0
+        assert out.read_text() == first
 
     def test_different_seed_changes_the_hash(self):
-        base = run_sweep(parse_grid(TINY_GRID))
-        shifted = run_sweep(
-            parse_grid(TINY_GRID.replace("seeds=1,2", "seeds=3,4"))
-        )
-        assert sweep_hash(base) != sweep_hash(shifted)
+        runner = BenchRunner(log=None)
+        base = runner.run(grid_specs(TINY_GRID))
+        shifted = runner.run(grid_specs(TINY_GRID.replace("seeds=1,2", "seeds=3,4")))
+        assert csv_hash(base) != csv_hash(shifted)
 
 
 class TestFailureAccounting:
     # partition_heal requires a Rapid harness, so pointing it at
     # memberlist raises deterministically — a cheap stand-in for any
     # scenario failure (including a safety InvariantViolation).
-    FAILING = SweepPoint("partition_heal", "memberlist", 8, 1)
-    GOOD = SweepPoint("bootstrap", "rapid", 8, 1)
+    FAILING = BenchSpec("partition_heal", "memberlist", 8, seed=1)
+    GOOD = BenchSpec("bootstrap", "rapid", 8, seed=1)
 
     def test_failed_point_yields_error_row_and_stops(self):
-        rows = run_sweep([self.FAILING, self.GOOD])
-        assert rows == [
+        cases = BenchRunner(log=None).run([self.FAILING, self.GOOD])
+        assert [case.spec for case in cases] == [self.FAILING]
+        assert cases[0].error
+        assert cases[0].to_json()["error"] == cases[0].error
+        assert csv_rows(cases[0]) == [
             ("partition_heal", "-", "memberlist", "8", "1", "error", "1")
         ]
-        assert failed_points(rows) == 1
 
     def test_keep_going_runs_the_remaining_points(self):
-        rows = run_sweep([self.FAILING, self.GOOD], keep_going=True)
-        assert failed_points(rows) == 1
-        metrics = {row[5] for row in rows if row[0] == "bootstrap"}
-        assert "convergence_time" in metrics
+        cases = BenchRunner(log=None).run([self.FAILING, self.GOOD], keep_going=True)
+        assert [case.error is None for case in cases] == [False, True]
+        assert "convergence_time" in {row[5] for row in csv_rows(cases[1])}
 
     def test_error_rows_are_deterministic(self):
-        first = run_sweep([self.FAILING, self.GOOD], keep_going=True)
-        second = run_sweep([self.FAILING, self.GOOD], keep_going=True)
-        assert sweep_hash(first) == sweep_hash(second)
+        # Error rows are simulation-derived, so they hash like any row.
+        runner = BenchRunner(log=None)
+        first = runner.run([self.FAILING, self.GOOD], keep_going=True)
+        second = runner.run([self.FAILING, self.GOOD], keep_going=True)
+        assert csv_hash(first) == csv_hash(second)
 
     def test_unknown_scenario_is_a_usage_error_not_an_error_row(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            run_sweep([SweepPoint("nope", "rapid", 4, 1)], keep_going=True)
+            grid_specs("scenario=nope;system=rapid;n=4;seed=1")
+        assert main(["--grid", "scenario=nope", "--keep-going", "--list"]) == 2
 
     def test_invariant_checks_injected_for_rapid_points(self):
-        rows = run_point(self.GOOD)
-        by_metric = {row[5]: row[6] for row in rows}
+        case = BenchRunner(log=None).run_case(self.GOOD)
+        by_metric = {row[5]: row[6] for row in csv_rows(case)}
         assert int(by_metric["invariant_checks"]) > 0
+        assert int(by_metric["invariant_checks"]) == case.invariants["checked"]
 
     def test_cli_exits_nonzero_and_writes_error_rows(self, tmp_path, capsys):
+        out, csv_out = tmp_path / "r.json", tmp_path / "r.csv"
         grid = "scenario=partition_heal;system=memberlist;n=8;seed=1"
-        out = tmp_path / "sweep.csv"
-        assert sweep_main(["--grid", grid, "--quiet", "--out", str(out)]) == 1
-        assert "error,1" in out.read_text()
-        assert "errored" in capsys.readouterr().err
+        args = ["--grid", grid, "--quiet", "--out", str(out), "--csv", str(csv_out)]
+        assert main(args) == 1
+        assert "error,1" in csv_out.read_text()
+        assert "error" in json.loads(out.read_text())["cases"][0]
+        assert "failed" in capsys.readouterr().out
 
     def test_cli_keep_going_still_exits_nonzero(self, tmp_path):
         grid = json.dumps(
@@ -190,79 +206,61 @@ class TestFailureAccounting:
                 {"scenario": "bootstrap", "system": "rapid", "n": 8},
             ]
         )
-        out = tmp_path / "sweep.csv"
-        code = sweep_main(
-            ["--grid", grid, "--quiet", "--keep-going", "--out", str(out)]
-        )
-        assert code == 1
-        text = out.read_text()
+        csv_out = tmp_path / "r.csv"
+        args = ["--grid", grid, "--quiet", "--out", str(tmp_path / "r.json"),
+                "--csv", str(csv_out)]
+        assert main(args) == 1
+        assert "convergence_time" not in csv_out.read_text()
+        assert main(args + ["--keep-going"]) == 1
+        text = csv_out.read_text()
         assert "error,1" in text
         assert "convergence_time" in text
 
 
 class TestCli:
     def test_list_and_run_and_expect_hash(self, tmp_path, capsys):
-        assert sweep_main(["--grid", TINY_GRID, "--list"]) == 0
+        assert main(["--grid", TINY_GRID, "--list"]) == 0
         listed = capsys.readouterr().out.splitlines()
         assert len(listed) == 2
 
-        out = tmp_path / "sweep.csv"
-        hash_out = tmp_path / "sweep.sha256"
-        assert (
-            sweep_main(
-                [
-                    "--grid", TINY_GRID, "--quiet",
-                    "--out", str(out), "--hash-out", str(hash_out),
-                ]
-            )
-            == 0
-        )
+        csv_out, hash_out = tmp_path / "g.csv", tmp_path / "g.sha256"
+        args = ["--grid", TINY_GRID, "--quiet", "--out", str(tmp_path / "g.json")]
+        assert main(args + ["--csv", str(csv_out), "--hash-out", str(hash_out)]) == 0
         digest = hash_out.read_text().strip()
         assert len(digest) == 64
-        assert out.read_text().splitlines()[0] == CSV_HEADER
+        assert f"csv sha256: {digest}" in capsys.readouterr().out
+        assert csv_out.read_text().splitlines()[0] == CSV_HEADER
 
         # The recorded hash gates a second run; a wrong hash fails it.
-        assert (
-            sweep_main(
-                ["--grid", TINY_GRID, "--quiet", "--out", str(out),
-                 "--expect-hash", digest]
-            )
-            == 0
-        )
-        assert (
-            sweep_main(
-                ["--grid", TINY_GRID, "--quiet", "--out", str(out),
-                 "--expect-hash", "0" * 64]
-            )
-            == 1
-        )
+        assert main(args + ["--expect-hash", digest]) == 0
+        assert main(args + ["--expect-hash", "0" * 64]) == 1
+        assert "hash mismatch" in capsys.readouterr().out
 
     def test_summarize_subcommand(self, tmp_path, capsys):
-        out = tmp_path / "sweep.csv"
-        sweep_main(["--grid", TINY_GRID, "--quiet", "--out", str(out)])
+        out = tmp_path / "g.csv"
+        main(["--grid", TINY_GRID, "--quiet", "--out", str(tmp_path / "g.json"),
+              "--csv", str(out)])
         capsys.readouterr()
-        assert (
-            sweep_main(["summarize", str(out), "--metric", "flap_events"]) == 0
-        )
+        assert main(["summarize", str(out), "--metric", "flap_events"]) == 0
         printed = capsys.readouterr().out
         assert "flap_events" in printed
         assert "rapid" in printed
+        assert main(["summarize", str(out), "--metric", "zzz"]) == 2
 
     def test_bad_grid_exits_2(self, capsys):
-        assert sweep_main(["--grid", ";;;"]) == 2
+        assert main(["--grid", ";;;"]) == 2
 
 
 class TestStatsHelpers:
     def test_load_and_summarize_sweep(self, tmp_path):
-        from repro.analysis.stats import load_sweep_csv, summarize_sweep
-
-        rows = [
-            ("adversary", "flip_flop", "rapid", "16", "1", "flap_events", "0"),
-            ("adversary", "flip_flop", "rapid", "16", "2", "flap_events", "4"),
-            ("adversary", "flip_flop", "rapid", "16", "1", "detection_latency", "NA"),
-        ]
-        path = write_sweep_csv(rows, str(tmp_path / "s.csv"))
-        loaded = load_sweep_csv(path)
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "scenario,profile,system,n,seed,metric,value\n"
+            "adversary,flip_flop,rapid,16,1,flap_events,0\n"
+            "adversary,flip_flop,rapid,16,2,flap_events,4\n"
+            "adversary,flip_flop,rapid,16,1,detection_latency,NA\n"
+        )
+        loaded = load_sweep_csv(str(path))
         assert len(loaded) == 3
         assert loaded[0]["n"] == 16 and loaded[0]["value"] == 0.0
         assert loaded[2]["value"] is None
