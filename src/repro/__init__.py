@@ -15,9 +15,10 @@ The primary entry points re-exported here:
   (``K``, ``H``, ``L``, detector knobs, consensus timeouts);
 * :class:`~repro.core.node_id.Endpoint` — process addresses;
 * :class:`~repro.core.events.ViewChangeEvent` — the view-change callback
-  payload;
-* :class:`~repro.sim.cluster.SimCluster` — simulated deployments for
-  experiments and tests.
+  payload.
+
+Simulated deployments of every system are built with
+:func:`repro.experiments.harness.harness_for`.
 
 See ``README.md`` for a quickstart and ``DESIGN.md`` for the system map.
 """

@@ -10,9 +10,6 @@ is adapted to the same surface so experiments swap systems freely.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
-
-from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 from repro.sim.trace import ViewTrace
 
@@ -43,32 +40,15 @@ class ViewReporter:
     view of the cluster size every second."
     """
 
-    def __init__(
-        self,
-        agent: MembershipAgent,
-        trace: ViewTrace,
-        interval: float = 1.0,
-        only_when: Optional[Callable[[], bool]] = None,
-    ) -> None:
+    def __init__(self, agent: MembershipAgent, trace: ViewTrace) -> None:
         self.agent = agent
         self.trace = trace
-        self.interval = interval
-        self.only_when = only_when
-        self._stopped = False
 
     def start(self) -> None:
-        self.agent.runtime.schedule(self.interval, self._tick)
-
-    def stop(self) -> None:
-        self._stopped = True
+        self.agent.runtime.schedule(1.0, self._tick)
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
-        if self.only_when is None or self.only_when():
-            size = self.agent.view_size
-            if size > 0:
-                self.trace.record(
-                    self.agent.runtime.addr, self.agent.runtime.now(), size
-                )
-        self.agent.runtime.schedule(self.interval, self._tick)
+        size = self.agent.view_size
+        if size > 0:
+            self.trace.record(self.agent.runtime.addr, self.agent.runtime.now(), size)
+        self.agent.runtime.schedule(1.0, self._tick)

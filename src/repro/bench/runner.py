@@ -263,7 +263,7 @@ class BenchRunner:
         harness = outcome["harness"]
         engine = harness.engine
         network = harness.network
-        ledger = getattr(harness, "ledger", None)
+        ledger = harness.ledger
         invariants = (
             ledger.report() if self.check_invariants and ledger is not None else None
         )

@@ -1,88 +1,168 @@
-"""Uniform harnesses for running each membership system in the simulator.
+"""One harness that runs every membership system in the simulator.
 
-Every harness exposes the same surface — ``bootstrap``, ``run_for``,
-``run_until_converged``, ``crash``, ``live_endpoints``, ``view_sizes``, and
-a shared ``metrics`` registry (:mod:`repro.obs.metrics`) — so the
-experiment scenarios (:mod:`repro.experiments.scenarios`) and the benchmark
-runner (:mod:`repro.bench`) can run the paper's comparisons across Rapid,
-Rapid-C, Memberlist/SWIM, ZooKeeper, and Akka with identical drivers.
+:class:`Harness` owns the engine, network, metrics registry, view trace and
+(for Rapid) the safety ledger, and builds every node through
+:meth:`Harness.add_node`.  What differs between Rapid, Rapid-C,
+Memberlist/SWIM, the gossip failure detector, ZooKeeper and Akka is only
+how one node is constructed — a :class:`NodeFactory` in :data:`SYSTEMS`.
+``bootstrap``, ``run_until_converged``, ``crash``, ``recover`` and
+``live_endpoints`` are written once on top of it, so the experiment
+scenarios (:mod:`repro.experiments.scenarios`) and the benchmark runner
+(:mod:`repro.bench`) run the paper's comparisons with identical drivers.
+:class:`repro.experiments.live.LiveHarness` is the same harness over real
+UDP sockets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from repro.baselines.akka import AkkaConfig, AkkaNode
 from repro.baselines.common import ViewReporter
 from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
 from repro.baselines.swim import SwimConfig, SwimNode
 from repro.baselines.zookeeper import ZkClient, ZkConfig, build_ensemble
+from repro.core.centralized import CentralizedClusterNode, EnsembleNode
+from repro.core.events import NodeStatus
+from repro.core.membership import RapidNode
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
+from repro.obs.invariants import ViewLedger
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.cluster import SimCluster, endpoint_for
+from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.process import SimRuntime
-from repro.sim.trace import ViewTrace
+from repro.sim.trace import ViewChangeEventLog, ViewTrace
 
-__all__ = [
-    "RapidHarness",
-    "SwimHarness",
-    "GossipFdHarness",
-    "ZooKeeperHarness",
-    "AkkaHarness",
-    "harness_for",
-    "SYSTEMS",
-]
+__all__ = ["Harness", "NodeFactory", "SYSTEMS", "harness_for"]
 
 
-class _AgentHarness:
-    """Shared driving logic over a set of agents with ``view()`` methods."""
+@dataclass(frozen=True)
+class NodeFactory:
+    """How the harness builds the nodes of one membership system."""
 
-    def __init__(self, seed: int = 0, latency: Optional[LatencyModel] = None) -> None:
+    #: Configuration dataclass of the system (``RapidSettings`` for Rapid).
+    config_cls: type
+    #: ``(harness, runtime, seeds) -> node``; the node is not yet started.
+    build: Callable
+    #: ``(node, size) -> bool``: whether the node's view holds ``size``.
+    at_size: Callable
+    #: ``harness -> endpoints``: builds the system's ensemble or server
+    #: nodes before any member; their endpoints become ``harness.servers``.
+    setup: Optional[Callable] = None
+    #: ``None`` when views are opaque (no config ids), so no
+    #: :class:`~repro.obs.invariants.ViewLedger` applies; otherwise the
+    #: ledger's ``allow_member_gaps`` (Rapid-C's pushes skip views).
+    ledger_gaps: Optional[bool] = None
+
+
+class Harness:
+    """A simulated deployment of one membership system."""
+
+    def __init__(
+        self,
+        system: str,
+        seed: int = 0,
+        config=None,
+        latency: Optional[LatencyModel] = None,
+    ) -> None:
+        self.factory = factory = SYSTEMS[system]
         self.seed = seed
+        self.config = config if config is not None else factory.config_cls()
         self.metrics = MetricsRegistry()
-        self.engine = Engine(metrics=self.metrics)
-        self.network = Network(
-            self.engine, seed=seed, latency=latency, metrics=self.metrics
-        )
+        self.engine, self.network = self._substrate(latency)
         self.trace = ViewTrace()
-        #: Baselines report opaque views (no config ids/membership hashes),
-        #: so the safety-invariant ledger does not apply to them.
+        #: Safety-invariant monitor fed by every Rapid node's view
+        #: installs (see :mod:`repro.obs.invariants`); checks run as the
+        #: cluster reconfigures.  Baselines report opaque views: ``None``.
         self.ledger = None
-        self.agents: dict[Endpoint, object] = {}
-        self.runtimes: dict[Endpoint, SimRuntime] = {}
+        self.event_log = None
+        if factory.ledger_gaps is not None:
+            self.ledger = ViewLedger(seed=seed, allow_member_gaps=factory.ledger_gaps)
+            self.event_log = ViewChangeEventLog(ledger=self.ledger)
+        #: Member nodes by endpoint; ensemble/server nodes are not members.
+        self.agents: dict = {}
+        #: Runtimes of every node, ensemble/server nodes included.
+        self.runtimes: dict = {}
         self.endpoints: list[Endpoint] = []
+        self.servers: tuple = factory.setup(self) if factory.setup else ()
 
-    # -- to be provided by subclasses ------------------------------------
-    def _make_agent(self, runtime: SimRuntime, index: int):
-        raise NotImplementedError
+    @property
+    def cluster(self) -> "Harness":
+        # rapidbench/workloads.py calls ``h.cluster.add_node`` and reads
+        # ``h.cluster.event_log``; that code changes only together with
+        # the benchmark's recorded baselines, so the alias stays until then.
+        return self
 
-    # -- common driving ---------------------------------------------------
+    # ------------------------------------------------------------- plumbing
+
+    def _substrate(self, latency: Optional[LatencyModel]) -> tuple:
+        engine = Engine(metrics=self.metrics)
+        return engine, Network(engine, seed=self.seed, latency=latency, metrics=self.metrics)
+
+    def _addresses(self, n: int) -> list:
+        return [endpoint_for(i) for i in range(n)]
+
+    def _runtime(self, endpoint: Endpoint):
+        runtime = SimRuntime(self.engine, self.network, endpoint, seed=self.seed)
+        self.runtimes[endpoint] = runtime
+        return runtime
+
+    # ---------------------------------------------------------------- nodes
+
+    def add_node(
+        self,
+        endpoint: Endpoint,
+        seeds: Iterable[Endpoint] = (),
+        start_at: Optional[float] = None,
+    ):
+        """Build a node; it starts immediately or at time ``start_at``.
+
+        Adding a node does not touch :attr:`endpoints` (the bootstrap
+        list): callers that join late nodes extend that list themselves.
+        """
+        node = self.factory.build(self, self._runtime(endpoint), tuple(seeds))
+        self.agents[endpoint] = node
+        if start_at is None:
+            node.start()
+        else:
+            self.engine.schedule_at(start_at, node.start)
+        return node
+
     def bootstrap(self, n: int, seed_delay: float = 10.0, stagger: float = 0.0) -> list:
-        self.endpoints = [endpoint_for(i) for i in range(n)]
+        """Start a seed process, then ``n - 1`` joiners after ``seed_delay``.
+
+        Mirrors the paper's bootstrap experiments: "we start each experiment
+        with a single seed process, and after ten seconds, spawn a
+        subsequent group of N-1 processes".  ``stagger`` spreads the joiner
+        start times uniformly over that many seconds, drawn from
+        ``network.rng_for("bootstrap", "stagger")``; the live wire derives
+        that stream under its own ``live`` scope, so a live run and a sim
+        run of one seed draw different offsets.
+        """
+        self.endpoints = self._addresses(n)
+        seeds = tuple(self.endpoints[:1])
         rng = self.network.rng_for("bootstrap", "stagger")
         for i, ep in enumerate(self.endpoints):
-            runtime = SimRuntime(self.engine, self.network, ep, seed=self.seed)
-            agent = self._make_agent(runtime, i)
-            self.agents[ep] = agent
-            self.runtimes[ep] = runtime
-            ViewReporter(agent, self.trace).start()
-            if i == 0:
-                agent.start()
-            else:
-                offset = seed_delay + (rng.random() * stagger if stagger else 0.0)
-                self.engine.schedule_at(offset, agent.start)
+            start_at = None
+            if i:
+                start_at = seed_delay + (rng.random() * stagger if stagger else 0.0)
+            self.add_node(ep, seeds=seeds, start_at=start_at)
         return self.endpoints
 
+    # -------------------------------------------------------------- driving
+
     def run_for(self, duration: float) -> None:
+        """Advance virtual time by ``duration`` seconds."""
         self.engine.run_for(duration)
 
     def run_until_converged(
         self, size: int, timeout: float = 600.0, check_interval: float = 1.0
     ) -> Optional[float]:
+        """Advance time until :meth:`converged`; the time, or None on timeout."""
         deadline = self.engine.now + timeout
         while self.engine.now < deadline:
             self.engine.run(until=min(self.engine.now + check_interval, deadline))
@@ -91,208 +171,168 @@ class _AgentHarness:
         return None
 
     def converged(self, size: int) -> bool:
-        # Single pass, no intermediate list: polled once per virtual
-        # second by run_until_converged.
-        agents = self.agents
+        """True when every live member's view holds ``size`` members."""
+        # Single pass, no intermediate lists: run_until_converged polls
+        # this every virtual second, which at n=1000 adds up.
         runtimes = self.runtimes
+        at_size = self.factory.at_size
         found = False
-        for ep in self.endpoints:
+        for ep, node in self.agents.items():
             if runtimes[ep].crashed:
                 continue
             found = True
-            if len(agents[ep].view()) != size:
+            if not at_size(node, size):
                 return False
         return found
 
+    # --------------------------------------------------------------- faults
+
     def crash(self, endpoints: Iterable[Endpoint]) -> None:
+        """Fail-stop the given processes immediately."""
         for ep in endpoints:
             self.runtimes[ep].crash()
 
     def recover(self, endpoints: Iterable[Endpoint]) -> None:
+        """Un-crash the given processes (state intact).
+
+        Periodic timers whose reschedule was skipped while crashed stay
+        dead, so a fail-stopped Rapid node does not resume protocol
+        participation — use network-level crash/recover
+        (:meth:`Network.crash`/``recover``) for flip-flopping processes
+        that must come back talking.
+        """
         for ep in endpoints:
             self.runtimes[ep].recover()
 
-    def live_endpoints(self) -> list:
-        return [ep for ep in self.endpoints if not self.runtimes[ep].crashed]
-
-    def view_sizes(self) -> list:
-        return [len(self.agents[ep].view()) for ep in self.live_endpoints()]
-
-
-class SwimHarness(_AgentHarness):
-    """Memberlist/SWIM cluster."""
-
-    name = "memberlist"
-    config_cls = SwimConfig
-
-    def __init__(self, seed: int = 0, config: Optional[SwimConfig] = None, **kw) -> None:
-        super().__init__(seed=seed, **kw)
-        self.config = config or SwimConfig()
-
-    def _make_agent(self, runtime: SimRuntime, index: int):
-        seeds = (endpoint_for(0),) if index else ()
-        return SwimNode(runtime, seeds=seeds, config=self.config)
-
-
-class AkkaHarness(_AgentHarness):
-    """Akka-Cluster-like cluster."""
-
-    name = "akka"
-    config_cls = AkkaConfig
-
-    def __init__(self, seed: int = 0, config: Optional[AkkaConfig] = None, **kw) -> None:
-        super().__init__(seed=seed, **kw)
-        self.config = config or AkkaConfig()
-
-    def _make_agent(self, runtime: SimRuntime, index: int):
-        seeds = (endpoint_for(0),) if index else ()
-        return AkkaNode(runtime, seeds=seeds, config=self.config)
-
-
-class GossipFdHarness(_AgentHarness):
-    """All-to-all gossip failure-detector cluster (static member list).
-
-    Every agent knows the full membership from construction — the system
-    has no join protocol — so ``converged`` holds as soon as the processes
-    start; what the harness measures is view *stability* under faults.
-    """
-
-    name = "gossip-fd"
-    config_cls = GossipFdConfig
-
-    def __init__(
-        self, seed: int = 0, config: Optional[GossipFdConfig] = None, **kw
-    ) -> None:
-        super().__init__(seed=seed, **kw)
-        self.config = config or GossipFdConfig()
-
-    def _make_agent(self, runtime: SimRuntime, index: int):
-        return GossipFdNode(runtime, members=self.endpoints, config=self.config)
-
-
-class ZooKeeperHarness(_AgentHarness):
-    """3-server ZooKeeper ensemble plus one client agent per process."""
-
-    name = "zookeeper"
-    config_cls = ZkConfig
-
-    def __init__(self, seed: int = 0, config: Optional[ZkConfig] = None, **kw) -> None:
-        super().__init__(seed=seed, **kw)
-        self.config = config or ZkConfig()
-        self.server_endpoints = tuple(
-            Endpoint(f"10.255.254.{i + 1}", 2181) for i in range(3)
-        )
-        runtimes = [
-            SimRuntime(self.engine, self.network, ep, seed=seed)
-            for ep in self.server_endpoints
-        ]
-        self.servers = build_ensemble(runtimes, self.config)
-
-    def _make_agent(self, runtime: SimRuntime, index: int):
-        return ZkClient(runtime, self.server_endpoints, self.config)
-
-
-class RapidHarness:
-    """Adapter presenting :class:`SimCluster` with the harness surface."""
-
-    name = "rapid"
-    mode = "decentralized"
-
-    def __init__(
-        self,
-        seed: int = 0,
-        settings: Optional[RapidSettings] = None,
-        latency: Optional[LatencyModel] = None,
-    ) -> None:
-        self.cluster = SimCluster(
-            seed=seed, settings=settings, latency=latency, mode=self.mode
-        )
-        self.engine = self.cluster.engine
-        self.network = self.cluster.network
-        self.metrics = self.cluster.metrics
-        self.trace = self.cluster.view_trace
-        #: Safety-invariant monitor fed by every node's view installs
-        #: (see :mod:`repro.obs.invariants`); checks run as the cluster
-        #: reconfigures, so scenarios need no extra wiring.
-        self.ledger = self.cluster.ledger
-        self.endpoints: list[Endpoint] = []
-
-    def bootstrap(self, n: int, seed_delay: float = 10.0, stagger: float = 0.0) -> list:
-        self.endpoints = self.cluster.bootstrap(n, seed_delay=seed_delay, stagger=stagger)
-        return self.endpoints
-
-    def run_for(self, duration: float) -> None:
-        self.cluster.run_for(duration)
-
-    def run_until_converged(self, size: int, timeout: float = 600.0, **kw):
-        return self.cluster.run_until_converged(size, timeout=timeout, **kw)
-
-    def converged(self, size: int) -> bool:
-        return self.cluster.converged(size)
-
-    def crash(self, endpoints: Iterable[Endpoint]) -> None:
-        self.cluster.crash(endpoints)
-
-    def recover(self, endpoints: Iterable[Endpoint]) -> None:
-        self.cluster.recover(endpoints)
+    # -------------------------------------------------------------- queries
 
     def live_endpoints(self) -> list:
-        return [ep for ep in self.endpoints if not self.cluster.runtimes[ep].crashed]
+        """Endpoints of members that are not crashed."""
+        return [ep for ep in self.agents if not self.runtimes[ep].crashed]
 
-    def view_sizes(self) -> list:
-        return self.cluster.active_view_sizes()
+    def distinct_views(self) -> set:
+        """Distinct config ids installed across live ACTIVE Rapid members."""
+        return {
+            node.config.config_id
+            for ep, node in self.agents.items()
+            if not self.runtimes[ep].crashed
+            and node.status == NodeStatus.ACTIVE
+            and node.config is not None
+        }
 
-    @property
-    def agents(self):
-        return self.cluster.nodes
 
-    @property
-    def runtimes(self):
-        return self.cluster.runtimes
+# ------------------------------------------------------------ node factories
 
 
-class RapidCHarness(RapidHarness):
-    """Rapid in logically centralized mode (3-node ensemble)."""
+def _rapid_at_size(node, size: int) -> bool:
+    return node.status == NodeStatus.ACTIVE and node.size == size
 
-    name = "rapid-c"
-    mode = "centralized"
+
+def _view_at_size(agent, size: int) -> bool:
+    return len(agent.view()) == size
+
+
+def _rapid_node(h: Harness, runtime, seeds: tuple):
+    return RapidNode(
+        runtime,
+        h.config,
+        seeds=seeds,
+        view_trace=h.trace,
+        event_log=h.event_log,
+        metrics=h.metrics,
+    )
+
+
+def _rapid_c_ensemble(h: Harness) -> tuple:
+    ensemble = tuple(Endpoint(host=f"10.255.255.{i + 1}", port=9000) for i in range(3))
+    for ep in ensemble:
+        EnsembleNode(h._runtime(ep), ensemble, h.config)
+    return ensemble
+
+
+def _rapid_c_node(h: Harness, runtime, seeds: tuple):
+    return CentralizedClusterNode(
+        runtime,
+        h.servers,
+        h.config,
+        view_trace=h.trace,
+        event_log=h.event_log,
+        metrics=h.metrics,
+    )
+
+
+def _reported(h: Harness, agent):
+    """Baselines log their view size once per second, as the paper's do."""
+    ViewReporter(agent, h.trace).start()
+    return agent
+
+
+def _swim_node(h: Harness, runtime, seeds: tuple):
+    others = tuple(s for s in seeds if s != runtime.addr)
+    return _reported(h, SwimNode(runtime, seeds=others, config=h.config))
+
+
+def _akka_node(h: Harness, runtime, seeds: tuple):
+    others = tuple(s for s in seeds if s != runtime.addr)
+    return _reported(h, AkkaNode(runtime, seeds=others, config=h.config))
+
+
+def _gossip_fd_node(h: Harness, runtime, seeds: tuple):
+    # No join protocol: every agent knows the bootstrap membership from
+    # construction, so what the harness measures is view stability.
+    return _reported(h, GossipFdNode(runtime, members=h.endpoints, config=h.config))
+
+
+def _zk_servers(h: Harness) -> tuple:
+    servers = tuple(Endpoint(f"10.255.254.{i + 1}", 2181) for i in range(3))
+    build_ensemble([h._runtime(ep) for ep in servers], h.config)
+    return servers
+
+
+def _zk_client(h: Harness, runtime, seeds: tuple):
+    return _reported(h, ZkClient(runtime, h.servers, h.config))
 
 
 SYSTEMS = {
-    "rapid": RapidHarness,
-    "rapid-c": RapidCHarness,
-    "memberlist": SwimHarness,
-    "gossip-fd": GossipFdHarness,
-    "zookeeper": ZooKeeperHarness,
-    "akka": AkkaHarness,
+    "rapid": NodeFactory(RapidSettings, _rapid_node, _rapid_at_size, ledger_gaps=False),
+    "rapid-c": NodeFactory(
+        RapidSettings, _rapid_c_node, _rapid_at_size, _rapid_c_ensemble, ledger_gaps=True
+    ),
+    "memberlist": NodeFactory(SwimConfig, _swim_node, _view_at_size),
+    "gossip-fd": NodeFactory(GossipFdConfig, _gossip_fd_node, _view_at_size),
+    "zookeeper": NodeFactory(ZkConfig, _zk_client, _view_at_size, _zk_servers),
+    "akka": NodeFactory(AkkaConfig, _akka_node, _view_at_size),
 }
 
 
-def harness_for(system: str, seed: int = 0, **kwargs):
+def harness_for(
+    system: str,
+    seed: int = 0,
+    settings=None,
+    config=None,
+    latency: Optional[LatencyModel] = None,
+) -> Harness:
     """Construct the harness for a system name used in the paper's plots.
 
-    ``settings`` may be passed as a plain dict of
-    :class:`~repro.core.settings.RapidSettings` field overrides — the form
-    benchmark specs use, since their params must stay JSON-serializable —
-    and is instantiated here for the Rapid harnesses.  Likewise ``config``
-    may be a plain dict of the baseline harness's config-dataclass fields
-    (``SwimConfig``, ``GossipFdConfig``, ``ZkConfig``, ``AkkaConfig``), the
-    form benchmark grids use.
+    Rapid systems take ``settings``, baselines ``config`` (``SwimConfig``,
+    ``GossipFdConfig``, ``ZkConfig``, ``AkkaConfig``).  Either may be a
+    plain dict of the dataclass's field overrides — the form benchmark
+    specs and grids use, since their params must stay JSON-serializable —
+    and is instantiated here.
     """
     try:
         factory = SYSTEMS[system]
     except KeyError:
         raise ValueError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}")
-    settings = kwargs.get("settings")
-    if isinstance(settings, dict):
-        kwargs["settings"] = RapidSettings(**settings)
-    config = kwargs.get("config")
-    if isinstance(config, dict):
-        config_cls = getattr(factory, "config_cls", None)
-        if config_cls is None:
+    if factory.config_cls is RapidSettings:
+        if config is not None:
             raise ValueError(
                 f"system {system!r} takes no config dict; "
                 "pass Rapid overrides via settings={...}"
             )
-        kwargs["config"] = config_cls(**config)
-    return factory(seed=seed, **kwargs)
+        config = settings
+    elif settings is not None:
+        raise ValueError(f"system {system!r} takes no settings; pass config={{...}}")
+    if isinstance(config, dict):
+        config = factory.config_cls(**config)
+    return Harness(system, seed=seed, config=config, latency=latency)

@@ -1,10 +1,12 @@
-"""Live-runtime experiment harness: the sim harness surface over real UDP.
+"""Live-runtime experiment harness: the sim harness over real UDP.
 
-:class:`LiveHarness` mirrors the simulator harness API (``bootstrap``,
-``run_for``, ``run_until_converged``, ``crash``, ``recover``,
-``live_endpoints``, ``view_sizes``) over :class:`~repro.runtime.live_net.
-LiveRuntime` — a few hundred localhost UDP nodes multiplexed on one
-private asyncio event loop.  The same driver code therefore runs a
+:class:`LiveHarness` is :class:`~repro.experiments.harness.Harness` for
+the ``rapid`` system over :class:`~repro.runtime.live_net.LiveRuntime` —
+a few hundred localhost UDP nodes multiplexed on one private asyncio
+event loop.  ``bootstrap``, ``add_node``, ``converged`` and
+``live_endpoints`` are the sim harness's own; this module supplies only
+runtime construction, event-loop driving, crash/recover through socket
+close/rebind, and ``close``.  The same driver code therefore runs a
 workload against the simulator *or* against real sockets, which is what
 makes the cross-validation suite (``tests/test_live.py``) possible: same
 workload, matched :class:`~repro.core.settings.RapidSettings`, sim and
@@ -42,16 +44,11 @@ import asyncio
 import time
 from typing import Iterable, Optional
 
-from repro.core.events import NodeStatus
-from repro.core.membership import RapidNode
 from repro.core.node_id import Endpoint, stable_hash64
 from repro.core.settings import RapidSettings
-from repro.obs.invariants import ViewLedger
-from repro.obs.metrics import MetricsRegistry
+from repro.experiments.harness import Harness
 from repro.runtime.asyncio_transport import open_local_socket
 from repro.runtime.live_net import LiveRuntime, LiveWire
-from repro.sim.rng import child_rng
-from repro.sim.trace import ViewChangeEventLog, ViewTrace
 
 __all__ = [
     "LIVE_SETTINGS",
@@ -124,11 +121,14 @@ class _LiveEngine:
         """Datagrams delivered to node handlers so far."""
         return self._harness.wire.delivered_messages
 
+    def schedule_at(self, time: float, fn, *args) -> None:
+        """Call ``fn(*args)`` at harness-relative ``time``."""
+        harness = self._harness
+        harness.loop.call_at(harness._epoch + time, fn, *args)
 
-class LiveHarness:
+
+class LiveHarness(Harness):
     """Drive a real localhost UDP Rapid cluster with the sim harness API."""
-
-    name = "live-rapid"
 
     def __init__(
         self,
@@ -136,37 +136,39 @@ class LiveHarness:
         settings: Optional[RapidSettings] = None,
         host: str = "127.0.0.1",
     ) -> None:
-        self.seed = seed
-        self.settings = settings or live_settings()
         self.host = host
         self.loop = asyncio.new_event_loop()
-        self.metrics = MetricsRegistry()
-        self.trace = ViewTrace()
-        # The same safety-invariant monitor the sim harness runs: live
-        # nodes feed the event log from their real install path, so the
-        # consistency properties are checked against real UDP traffic too.
-        self.ledger = ViewLedger(seed=seed)
-        self.event_log = ViewChangeEventLog(ledger=self.ledger)
         self._epoch = self.loop.time()
         self._final_now: Optional[float] = None
-        self.wire = LiveWire(seed=seed, clock=self._now)
-        #: ``network`` and ``engine`` satisfy the benchmark runner's
-        #: harvest surface (counters / clocks), like the sim harnesses.
-        self.network = self.wire
-        self.engine = _LiveEngine(self)
-        self.agents: dict[Endpoint, RapidNode] = {}
-        self.runtimes: dict[Endpoint, LiveRuntime] = {}
-        self.endpoints: list[Endpoint] = []
-        self._crashed: set[Endpoint] = set()
         self._run_wall_s = 0.0
         self._closed = False
+        self._sockets: dict = {}
+        super().__init__("rapid", seed=seed, config=settings or live_settings())
 
     # ------------------------------------------------------------- plumbing
 
-    @property
-    def nodes(self) -> dict:
-        """Alias matching :class:`~repro.sim.cluster.SimCluster`."""
-        return self.agents
+    def _substrate(self, latency) -> tuple:
+        self.wire = LiveWire(seed=self.seed, clock=self._now)
+        return _LiveEngine(self), self.wire
+
+    def _addresses(self, n: int) -> list:
+        """Bind ``n`` sockets on ephemeral ports; their endpoints."""
+        bound = [open_local_socket(self.host) for _ in range(n)]
+        self._sockets.update((ep, sock) for sock, ep in bound)
+        return [ep for _, ep in bound]
+
+    def _runtime(self, endpoint: Endpoint) -> LiveRuntime:
+        runtime = LiveRuntime(
+            endpoint,
+            self.wire,
+            seed=stable_hash64(self.seed, "live-node", len(self.runtimes)),
+        )
+        runtime.epoch = self._epoch
+        # A socket bound by _addresses is adopted; otherwise the runtime
+        # binds the endpoint itself.
+        self._run(runtime.start(sock=self._sockets.pop(endpoint, None)))
+        self.runtimes[endpoint] = runtime
+        return runtime
 
     def _now(self) -> float:
         if self._final_now is not None:
@@ -181,46 +183,6 @@ class LiveHarness:
             self._run_wall_s += time.perf_counter() - started
 
     # -------------------------------------------------------------- driving
-
-    def bootstrap(
-        self, n: int, seed_delay: float = 1.0, stagger: float = 0.5
-    ) -> list:
-        """Bind ``n`` nodes on ephemeral ports and start the join storm.
-
-        Node 0 is the seed and starts immediately; the rest start at
-        ``seed_delay`` plus a uniform stagger, drawn from a seed-derived
-        rng stream exactly like the sim harness's bootstrap.  Returns the
-        endpoint list (actual bound ports).
-        """
-        return self._run(self._bootstrap(n, seed_delay, stagger))
-
-    async def _bootstrap(self, n: int, seed_delay: float, stagger: float):
-        bound = [open_local_socket(self.host) for _ in range(n)]
-        self.endpoints = [ep for _, ep in bound]
-        seed_ep = self.endpoints[0]
-        rng = child_rng(self.seed, "live", "stagger")
-        for i, (sock, ep) in enumerate(bound):
-            runtime = LiveRuntime(
-                ep, self.wire, seed=stable_hash64(self.seed, "live-node", i)
-            )
-            runtime.epoch = self._epoch
-            await runtime.start(sock=sock)
-            node = RapidNode(
-                runtime,
-                self.settings,
-                seeds=(seed_ep,),
-                view_trace=self.trace,
-                event_log=self.event_log,
-                metrics=self.metrics,
-            )
-            self.agents[ep] = node
-            self.runtimes[ep] = runtime
-            if i == 0:
-                node.start()
-            else:
-                offset = seed_delay + (rng.random() * stagger if stagger else 0.0)
-                runtime.schedule(offset, node.start)
-        return self.endpoints
 
     def run_for(self, duration: float) -> None:
         """Drive the event loop for ``duration`` real seconds."""
@@ -242,25 +204,12 @@ class LiveHarness:
             await asyncio.sleep(check_interval)
         return None
 
-    def converged(self, size: int) -> bool:
-        """True when every non-crashed node is ACTIVE and reports ``size``."""
-        found = False
-        for ep in self.endpoints:
-            if ep in self._crashed:
-                continue
-            found = True
-            node = self.agents[ep]
-            if node.status != NodeStatus.ACTIVE or node.size != size:
-                return False
-        return found
-
     # --------------------------------------------------------------- faults
 
     def crash(self, endpoints: Iterable[Endpoint]) -> None:
         """Fail-stop nodes: close their sockets, stop their timers."""
         for ep in endpoints:
             self.runtimes[ep].close()
-            self._crashed.add(ep)
 
     def recover(self, endpoints: Iterable[Endpoint]) -> None:
         """Re-bind crashed nodes on their original ports.
@@ -269,20 +218,8 @@ class LiveHarness:
         process may steal it in the window, which raises ``OSError`` —
         acceptable for a test harness, where recovery windows are short.
         """
-        self._run(self._recover(list(endpoints)))
-
-    async def _recover(self, endpoints: list) -> None:
         for ep in endpoints:
-            await self.runtimes[ep].start()
-            self._crashed.discard(ep)
-
-    def live_endpoints(self) -> list:
-        """Endpoints not currently crashed."""
-        return [ep for ep in self.endpoints if ep not in self._crashed]
-
-    def view_sizes(self) -> list:
-        """Believed cluster size at every live node."""
-        return [self.agents[ep].size for ep in self.live_endpoints()]
+            self._run(self.runtimes[ep].start())
 
     # -------------------------------------------------------------- teardown
 
@@ -352,7 +289,7 @@ def live_bootstrap_experiment(
         endpoints = harness.bootstrap(n, seed_delay=seed_delay, stagger=stagger)
         convergence = harness.run_until_converged(n, timeout=timeout)
         # Let reporting ticks observe the final state.
-        harness.run_for(2 * harness.settings.report_interval)
+        harness.run_for(2 * harness.config.report_interval)
     finally:
         harness.close()
     trace = harness.trace

@@ -174,8 +174,7 @@ def join_churn_experiment(
     (message/byte counts of the ``PreJoin*``/``Join*`` classes).
     """
     harness = harness_for(system, seed=seed, **harness_kwargs)
-    cluster = getattr(harness, "cluster", None)
-    if cluster is None:
+    if harness.event_log is None:
         raise ValueError(
             f"join_churn requires a Rapid harness, not {system!r} "
             "(needs node-level leave/rejoin and late add_node)"
@@ -187,14 +186,14 @@ def join_churn_experiment(
     rng = harness.network.rng_for("join_churn")
     rejoin_eps = endpoints[1 : 1 + max(0, min(rejoins, n - 1))]
     for ep in rejoin_eps:
-        node = cluster.nodes[ep]
+        node = harness.agents[ep]
         leave_at = churn_start + rng.random() * join_stagger
         harness.engine.schedule_at(leave_at, node.leave)
         harness.engine.schedule_at(leave_at + rejoin_delay, node.rejoin)
     seed_ep = endpoints[0]
     fresh_eps = [endpoint_for(n + i) for i in range(joiners)]
     for ep in fresh_eps:
-        cluster.add_node(
+        harness.add_node(
             ep,
             seeds=(seed_ep,),
             start_at=churn_start + rng.random() * join_stagger,
@@ -393,10 +392,9 @@ def adversary_experiment(
         "timeseries": harness.trace.aggregate_series(healthy, step=5.0),
         "harness": harness,
     }
-    event_log = getattr(getattr(harness, "cluster", None), "event_log", None)
-    if event_log is not None:
+    if harness.event_log is not None:
         report["configs_post_fault"] = len(
-            {r.config_id for r in event_log.records if r.time >= fault_start}
+            {r.config_id for r in harness.event_log.records if r.time >= fault_start}
         )
     return report
 
@@ -439,8 +437,7 @@ def partition_heal_experiment(
     ``timeseries``/``harness`` payloads.
     """
     harness = harness_for(system, seed=seed, **harness_kwargs)
-    cluster = getattr(harness, "cluster", None)
-    if cluster is None:
+    if harness.event_log is None:
         raise ValueError(
             f"partition_heal requires a Rapid harness, not {system!r} "
             "(needs node-level status/rejoin and the view event log)"
@@ -464,10 +461,10 @@ def partition_heal_experiment(
     harness.run_for(fault_at + partition_for)
     minority_installs = sum(
         1
-        for record in cluster.event_log.records
+        for record in harness.event_log.records
         if record.endpoint in minority and record.time >= fault_start
     )
-    majority_sizes = {len(cluster.nodes[ep].membership) for ep in majority}
+    majority_sizes = {len(harness.agents[ep].membership) for ep in majority}
     majority_converged = majority_sizes == {n - len(minority)}
     rejoined: set = set()
     reconverged_at = None
@@ -475,7 +472,7 @@ def partition_heal_experiment(
     while harness.engine.now < deadline:
         harness.run_for(rejoin_poll)
         for ep in minority:
-            node = cluster.nodes[ep]
+            node = harness.agents[ep]
             if ep not in rejoined and node.status in (
                 NodeStatus.KICKED,
                 NodeStatus.LEFT,
@@ -499,7 +496,7 @@ def partition_heal_experiment(
         "reconverge_time": (
             reconverged_at - heal_time if reconverged_at is not None else None
         ),
-        "invariant_checks": cluster.ledger.records,
+        "invariant_checks": harness.ledger.records,
         "timeseries": harness.trace.aggregate_series(list(endpoints), step=5.0),
         "harness": harness,
     }

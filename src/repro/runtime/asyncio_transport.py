@@ -117,6 +117,11 @@ class AsyncioRuntime:
             self._transport.close()
             self._transport = None
 
+    @property
+    def crashed(self) -> bool:
+        """Whether the transport is closed (a crashed live node)."""
+        return self._closed
+
     # ------------------------------------------------------- runtime protocol
 
     def now(self) -> float:

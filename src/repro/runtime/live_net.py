@@ -79,6 +79,14 @@ class LiveWire:
         #: the same messages: the sim-vs-real parity comparison.
         self.class_bytes_est: dict[str, int] = {}
 
+    def rng_for(self, *scope: object):
+        """A seeded RNG stream derived from the wire's root seed.
+
+        The live twin of :meth:`repro.sim.network.Network.rng_for`, on its
+        own ``live`` scope.
+        """
+        return child_rng(self.seed, "live", *scope)
+
     # ----------------------------------------------------------- fault rules
 
     def add_rule(self, rule: FaultRule) -> FaultRule:

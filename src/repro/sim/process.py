@@ -24,8 +24,8 @@ class SimRuntime:
     """Per-process runtime inside the simulator.
 
     The runtime must be given a message handler via :meth:`attach` before
-    messages arrive; :class:`~repro.sim.cluster` harnesses do this when they
-    construct protocol nodes.
+    messages arrive; :class:`~repro.experiments.harness.Harness` does this
+    when it constructs protocol nodes.
     """
 
     def __init__(

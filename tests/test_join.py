@@ -21,7 +21,8 @@ from repro.core.events import NodeStatus
 from repro.core.messages import JoinResponse, JoinStatus, ViewDelta
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
-from repro.sim.cluster import SimCluster, endpoint_for
+from repro.experiments.harness import Harness, harness_for
+from repro.sim.cluster import endpoint_for
 from repro.sim.network import Network, wire_size
 
 
@@ -31,8 +32,10 @@ def settings_for_tests(**overrides) -> RapidSettings:
     return RapidSettings(**defaults)
 
 
-def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> SimCluster:
-    cluster = SimCluster(seed=seed, settings=settings_for_tests(**setting_overrides))
+def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> Harness:
+    cluster = harness_for(
+        "rapid", seed=seed, settings=settings_for_tests(**setting_overrides)
+    )
     cluster.bootstrap(n, seed_delay=2.0, stagger=1.0)
     assert cluster.run_until_converged(n, timeout=120.0) is not None
     return cluster
@@ -41,7 +44,7 @@ def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> SimCluster:
 class RecordingNetwork:
     """Wraps a cluster's network send/broadcast to log JoinResponses."""
 
-    def __init__(self, cluster: SimCluster) -> None:
+    def __init__(self, cluster: Harness) -> None:
         self.responses: list = []  # (sender, dst, status, seq, kind)
         network = cluster.network
         orig_send, orig_broadcast = network.send, network.broadcast
@@ -158,14 +161,14 @@ class TestDeltaRoundTrip:
 
 class TestRejoinPaths:
     def _leave_and_rejoin(self, mode: str, rejoin_after: float = 8.0):
-        cluster = SimCluster(
-            seed=3, settings=settings_for_tests(join_delta_mode=mode)
+        cluster = harness_for(
+            "rapid", seed=3, settings=settings_for_tests(join_delta_mode=mode)
         )
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(10, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         recorder.responses.clear()
         node.leave()
         cluster.engine.schedule(rejoin_after, node.rejoin)
@@ -198,7 +201,7 @@ class TestRejoinPaths:
         # view, so the seed answers UUID_IN_USE until the removal lands.
         cluster = converged_cluster(8, seed=2)
         victim = endpoint_for(3)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.leave()
         original_uuid = node.node_id.uuid
         node.rejoin()
@@ -217,9 +220,9 @@ class TestRejoinPaths:
         # member is removed instead of lingering in the view forever.
         cluster = converged_cluster(10, seed=6, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.status = NodeStatus.LEFT  # silent leave: no notification
-        survivors = [n for ep, n in cluster.nodes.items() if ep != victim]
+        survivors = [n for ep, n in cluster.agents.items() if ep != victim]
         deadline = cluster.engine.now + 60.0
         while cluster.engine.now < deadline:
             cluster.run_for(1.0)
@@ -233,7 +236,7 @@ class TestRejoinPaths:
         # acks are budget-limited) and the rejoin must then complete.
         cluster = converged_cluster(10, seed=7, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.status = NodeStatus.LEFT
         cluster.engine.schedule(2.0, node.rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
@@ -255,7 +258,7 @@ class TestRejoinPaths:
 class TestSingleResponder:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exactly_one_safe_to_join_per_admission(self, seed):
-        cluster = SimCluster(seed=seed, settings=settings_for_tests())
+        cluster = harness_for("rapid", seed=seed, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(12, timeout=120.0) is not None
@@ -268,7 +271,7 @@ class TestSingleResponder:
 
     def test_replay_assigns_identical_responders(self):
         def responder_map(seed):
-            cluster = SimCluster(seed=seed, settings=settings_for_tests())
+            cluster = harness_for("rapid", seed=seed, settings=settings_for_tests())
             recorder = RecordingNetwork(cluster)
             cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
             assert cluster.run_until_converged(12, timeout=120.0) is not None
@@ -280,8 +283,8 @@ class TestSingleResponder:
         assert responder_map(5) == responder_map(5)
 
     def test_disabled_dedup_restores_k_responders(self):
-        cluster = SimCluster(
-            seed=1, settings=settings_for_tests(join_single_responder=False)
+        cluster = harness_for(
+            "rapid", seed=1, settings=settings_for_tests(join_single_responder=False)
         )
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
@@ -370,7 +373,7 @@ class TestDuplicateIdempotency:
         # topology (others answer CONFIG_CHANGED and never alert).
         node = next(
             n
-            for n in cluster.nodes.values()
+            for n in cluster.agents.values()
             if tuple(n.topology.observer_rings(n.addr, joiner))
         )
         msg = JoinRequest(
