@@ -46,7 +46,6 @@ from repro.obs.app_scorecard import AppScorecard
 from repro.runtime import codec as wire_codec
 from repro.runtime.base import Runtime
 from repro.runtime.dispatch import TypeDispatcher
-from repro.sim.network import register_message_classes
 
 __all__ = [
     "DataServer",
@@ -116,17 +115,8 @@ class ViewResponse:
     members: tuple = ()
 
 
-# Registered with both the simulator's sizer and the live wire codec, so
-# the app runs over real sockets (and its traffic is sized) unchanged.
-register_message_classes(
-    TsRequest,
-    TsResponse,
-    NotSerializer,
-    WriteRequest,
-    WriteAck,
-    ViewRequest,
-    ViewResponse,
-)
+# Registered with the live wire codec, so the app runs over real sockets
+# unchanged (the simulator sizes any dataclass message on first sight).
 for _cls in (
     TsRequest,
     TsResponse,

@@ -2,15 +2,15 @@
 
 Rapid broadcasts two kinds of payloads: batched edge alerts and consensus
 vote bundles.  The paper performs both over UDP, with gossip used for the
-counting step.  Two interchangeable broadcasters are provided:
+counting step.  Three broadcasters are provided:
 
 * :class:`UnicastBroadcaster` — the sender unicasts the payload to every
   member.  Simple, O(N) messages per broadcast from one node, matching the
   reference implementation's default broadcaster.
 * :class:`GossipBroadcaster` — epidemic "infect and die" relay: the
   originator sends to ``fanout`` random peers; every first-time receiver
-  relays onward while a hop budget lasts.  O(log N) latency, load spread
-  over the whole cluster.
+  relays onward (batched, see :data:`RELAY_WINDOW`) while a hop budget
+  lasts.  O(log N) latency, load spread over the whole cluster.
 * :class:`AdaptiveBroadcaster` — picks between the two per view: unicast
   below a membership-size threshold (one message delay, cheap at small N),
   gossip at or above it (bounded per-node fan-out at large N).  This is the
@@ -23,7 +23,7 @@ broadcasts through the same code path as everyone else's.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
@@ -40,6 +40,10 @@ __all__ = [
 Deliver = Callable[[Endpoint, Any], None]
 
 Fanout = Callable[[Sequence[Endpoint], Any], None]
+
+#: Seconds a gossip node buffers the envelopes it owes a forward before
+#: relaying them together (see :class:`GossipBroadcaster`).
+RELAY_WINDOW = 0.05
 
 
 def make_fanout(runtime: Runtime) -> Fanout:
@@ -115,38 +119,30 @@ class UnicastBroadcaster(Broadcaster):
 class GossipBroadcaster(Broadcaster):
     """Epidemic relay with duplicate suppression and relay batching.
 
-    ``hops`` defaults to ``ceil(log2(N)) + 3`` relays, enough for an
-    epidemic with the default fanout to reach all members with high
-    probability; duplicates are dropped on the ``(origin, message_id)``
-    key, where ``message_id`` is a per-origin sequence number.  The id is
-    deterministic — same-seed runs must replay identically across
-    interpreter invocations, so nothing derived from the builtin
-    ``hash()`` (which varies with ``PYTHONHASHSEED``) may reach the wire.
+    Each broadcast gets a budget of ``ceil(log2(N)) + 3`` relays, enough
+    for an epidemic with the default fanout to reach all members with
+    high probability; duplicates are dropped on the ``(origin,
+    message_id)`` key, where ``message_id`` is a per-origin sequence
+    number.  The id is deterministic — same-seed runs must replay
+    identically across interpreter invocations, so nothing derived from
+    the builtin ``hash()`` (which varies with ``PYTHONHASHSEED``) may
+    reach the wire.
 
-    **Relay batching** (``relay_window`` > 0): envelopes awaiting a
-    forward are buffered for the window and then relayed together as one
+    **Relay batching**: envelopes awaiting a forward are buffered for
+    :data:`RELAY_WINDOW` seconds and then relayed together as one
     :class:`~repro.core.messages.GossipBundle` to a single random peer
     sample.  During broadcast storms — a mass bootstrap emits dozens of
     alert-batch broadcasts per second, each of which every node forwards
     once — this collapses k per-envelope relay fan-outs into one timer
-    plus one fan-out, at the cost of up to ``relay_window`` seconds of
+    plus one fan-out, at the cost of up to ``RELAY_WINDOW`` seconds of
     added latency per hop.  A node's *own* broadcasts are never delayed.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        deliver: Deliver,
-        fanout: int = 8,
-        hops: Optional[int] = None,
-        relay_window: float = 0.05,
-    ) -> None:
+    def __init__(self, runtime: Runtime, deliver: Deliver, fanout: int = 8) -> None:
         """Bind the relay to ``runtime`` and its delivery callback."""
         self.runtime = runtime
         self.deliver = deliver
         self.fanout = fanout
-        self.relay_window = relay_window
-        self._fixed_hops = hops
         self._members: tuple = ()
         self._peers: tuple = ()
         self._seen: set = set()
@@ -172,8 +168,6 @@ class GossipBroadcaster(Broadcaster):
             self._relay_timer = None
 
     def _hops(self) -> int:
-        if self._fixed_hops is not None:
-            return self._fixed_hops
         n = max(2, len(self._members))
         return int(math.ceil(math.log2(n))) + 3
 
@@ -217,14 +211,11 @@ class GossipBroadcaster(Broadcaster):
                 hops_left=envelope.hops_left - 1,
                 payload=envelope.payload,
             )
-            if self.relay_window > 0:
-                self._relay_buf.append(forward)
-                if self._relay_timer is None:
-                    self._relay_timer = self.runtime.schedule(
-                        self.relay_window, self._flush_relays
-                    )
-            else:
-                self._relay(forward)
+            self._relay_buf.append(forward)
+            if self._relay_timer is None:
+                self._relay_timer = self.runtime.schedule(
+                    RELAY_WINDOW, self._flush_relays
+                )
 
     def _flush_relays(self) -> None:
         """Forward everything buffered during the window as one bundle."""
@@ -260,20 +251,12 @@ class AdaptiveBroadcaster(Broadcaster):
     """
 
     def __init__(
-        self,
-        runtime: Runtime,
-        deliver: Deliver,
-        threshold: int,
-        fanout: int = 8,
-        hops: Optional[int] = None,
-        relay_window: float = 0.05,
+        self, runtime: Runtime, deliver: Deliver, threshold: int, fanout: int = 8
     ) -> None:
         """Construct both substrates; unicast starts active."""
         self.threshold = threshold
         self._unicast = UnicastBroadcaster(runtime, deliver)
-        self._gossip = GossipBroadcaster(
-            runtime, deliver, fanout=fanout, hops=hops, relay_window=relay_window
-        )
+        self._gossip = GossipBroadcaster(runtime, deliver, fanout=fanout)
         self._active: Broadcaster = self._unicast
 
     def set_membership(self, members: Sequence[Endpoint]) -> None:

@@ -28,13 +28,14 @@ but has nothing new to push goes silent and can only wait for a random
 push to find it (or, worst case, the classical-Paxos fallback timer).  The
 **pull-gossip round** closes it: a stale tick sends a
 :class:`~repro.core.messages.VotePull` digest (the node's full aggregate)
-to ``gossip_pull_fanout`` random peers, and the receiver — after OR-merging
-the digest like any bundle — replies with exactly the bits the digest
-lacks, or the :class:`~repro.core.messages.Decision` once one is known.
+to :data:`PULL_FANOUT` (one) random peer, and the receiver — after
+OR-merging the digest like any bundle — replies with exactly the bits the
+digest lacks, or the :class:`~repro.core.messages.Decision` once known.
 After local convergence an undecided node drops to a slow pull heartbeat
-(``RapidSettings.pull_interval``) instead of going fully quiet.  Pulls are
-gated by ``RapidSettings.gossip_pull_mode`` (``auto`` = active exactly when
-vote dissemination is in gossip mode).
+(every ``gossip_interval * gossip_convergence_ticks`` seconds) instead of
+going fully quiet.  Pulls run exactly when votes are gossiped (below the
+gossip threshold the unicast aggregate broadcast reaches everyone at
+once, so there is no tail to pull).
 
 Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
@@ -75,6 +76,10 @@ from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.runtime.base import Runtime
 
 __all__ = ["FastPaxos"]
+
+#: Peers sent a pull digest per stale gossip tick (and per heartbeat tick
+#: after local convergence).
+PULL_FANOUT = 1
 
 
 class FastPaxos:
@@ -133,12 +138,9 @@ class FastPaxos:
         # quorum checks never rescan an N-bit bitmap.
         self._counts: dict[Proposal, int] = {}
         #: True when this view disseminates votes by gossip (delta bundles,
-        #: no initial broadcast storm) rather than one aggregate broadcast.
+        #: no initial broadcast storm, pull rounds on stale ticks) rather
+        #: than one aggregate broadcast.
         self.gossip_mode = settings.use_gossip(self.n)
-        #: True when stale ticks also *pull*: send a digest, get back the
-        #: missing bits.  Rides the gossip counting step, so it is only
-        #: effective while ``gossip_mode`` is active.
-        self.pull_mode = settings.use_pull(self.n)
         # Per-peer dissemination ledger (gossip mode): bits each peer has
         # been shown by us or has shown us, so pushes carry only deltas.
         self._shown: dict[Endpoint, dict[Proposal, int]] = {}
@@ -388,21 +390,19 @@ class FastPaxos:
                 self._stale_ticks = 0
             else:
                 self._stale_ticks += 1
-                if self.pull_mode:
-                    # A quiet interval means pushes stopped teaching us;
-                    # actively fetch what we might be missing.
-                    self._send_pulls()
+                # A quiet interval means pushes stopped teaching us;
+                # actively fetch what we might be missing.
+                self._send_pulls()
                 if self._stale_ticks >= self.settings.gossip_convergence_ticks:
                     # Converged: nothing new learned for k intervals.  Push
                     # gossip goes quiet — an incoming bundle with new bits
                     # re-arms it — but an undecided node keeps a slow pull
-                    # heartbeat so the tail is fetched, not waited out
-                    # (without pulls, only the fallback timer guards
-                    # liveness here).
-                    if self.pull_mode:
-                        self._gossip_timer = self.runtime.schedule(
-                            self.settings.pull_interval(), self._gossip_tick
-                        )
+                    # heartbeat so the tail is fetched, not waited out.
+                    self._gossip_timer = self.runtime.schedule(
+                        self.settings.gossip_interval
+                        * self.settings.gossip_convergence_ticks,
+                        self._gossip_tick,
+                    )
                     return
             self._push_deltas()
         else:
@@ -430,7 +430,7 @@ class FastPaxos:
                 self._m_bundles_tx.inc()
 
     def _send_pulls(self) -> None:
-        """Send our aggregate as a digest to ``gossip_pull_fanout`` peers.
+        """Send our aggregate as a digest to :data:`PULL_FANOUT` peers.
 
         The digest doubles as a push (receivers merge it), so the bits it
         carries are optimistically marked shown for each pulled peer —
@@ -440,7 +440,7 @@ class FastPaxos:
         peers = self._peers
         if not peers or not self.votes:
             return
-        count = min(self.settings.gossip_pull_fanout, len(peers))
+        count = min(PULL_FANOUT, len(peers))
         digest = VotePull(
             sender=self.runtime.addr,
             config_id=self.config_id,

@@ -31,7 +31,6 @@ from repro.core.broadcaster import (
     AdaptiveBroadcaster,
     Broadcaster,
     GossipBroadcaster,
-    UnicastBroadcaster,
     make_fanout,
 )
 from repro.core.events import NodeStatus, ViewChangeEvent
@@ -148,12 +147,9 @@ class RapidNode:
 
         if self.settings.broadcast_mode == BroadcastMode.GOSSIP:
             self.broadcaster: Broadcaster = GossipBroadcaster(
-                runtime,
-                self._deliver_broadcast,
-                fanout=self.settings.gossip_fanout,
-                relay_window=self.settings.gossip_relay_window,
+                runtime, self._deliver_broadcast, fanout=self.settings.gossip_fanout
             )
-        elif self.settings.broadcast_mode == BroadcastMode.AUTO:
+        else:
             # Scale-adaptive default: unicast below gossip_threshold
             # members, epidemic gossip at or above it.
             self.broadcaster = AdaptiveBroadcaster(
@@ -161,10 +157,7 @@ class RapidNode:
                 self._deliver_broadcast,
                 threshold=self.settings.gossip_threshold,
                 fanout=self.settings.gossip_fanout,
-                relay_window=self.settings.gossip_relay_window,
             )
-        else:
-            self.broadcaster = UnicastBroadcaster(runtime, self._deliver_broadcast)
 
         # Monitoring state (per configuration), kept in parallel arrays
         # indexed by subject position: the probe wheel touches these every
@@ -203,8 +196,13 @@ class RapidNode:
         #: start at sub-interval pace immediately.
         self._wheel_timer = None
         self._wheel_slow = False
-        self._report_timer = None
-        self._wheel_slots = self.settings.wheel_slots()
+        #: Probe-wheel slots per ``probe_interval``: two is the minimum
+        #: that strides probe traffic while keeping batched acks (queued
+        #: for up to one sub-interval) inside ``probe_timeout``; a view
+        #: with fewer subjects than slots would tick empty slots.
+        #: ``RapidSettings`` checks ``report_interval`` against the same
+        #: sub-interval.
+        self._wheel_slots = max(1, min(2, self.settings.k))
         self._sub_interval = self.settings.probe_interval / self._wheel_slots
         self._fanout = make_fanout(runtime)
 
@@ -377,34 +375,29 @@ class RapidNode:
         return lambda: PingTimeoutDetector(window=window, threshold=threshold)
 
     def _start_ticks(self) -> None:
-        """Start the per-node probe wheel (and the view-report timer).
+        """Start the per-node probe wheel.
 
         The wheel is the node's *single* recurring schedule: one tick per
         sub-interval drives probe sends (strided across slots), probe
         expiry (the shared ring), batched ack flushes, and — once per
-        full rotation — the reinforcement scan.  Report sampling rides
-        the wheel too whenever ``report_interval`` is a whole number of
-        sub-intervals; otherwise it keeps a dedicated timer.
+        full rotation — the reinforcement scan.  View-report sampling
+        rides it too, every ``report_interval`` (a whole number of
+        sub-intervals, checked by :class:`RapidSettings`).
         """
         if self._tick_started:
             return
         self._tick_started = True
         jitter = self.runtime.rng.uniform(0, self._sub_interval)
         self._wheel_timer = self.runtime.schedule(jitter, self._wheel_tick)
-        self._report_every = 0
         if self.view_trace is not None:
-            ratio = self.settings.report_interval / self._sub_interval
-            if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
-                self._report_every = int(round(ratio))
-            else:
-                self._report_timer = self.runtime.schedule(
-                    self.settings.report_interval, self._report_tick
-                )
+            self._report_every = int(
+                round(self.settings.report_interval / self._sub_interval)
+            )
 
     def _wheel_tick(self) -> None:
         """One probe-wheel sub-interval: expire, ack, probe, reinforce.
 
-        Runs ``probe_wheel_slots`` times per ``probe_interval``.  Every
+        Runs ``_wheel_slots`` times per ``probe_interval``.  Every
         subject is probed exactly once per interval (in its assigned
         slot); expiry of overdue probes is checked against the shared
         ring, so no per-probe timeout event ever reaches the engine.
@@ -487,15 +480,15 @@ class RapidNode:
                         seq=tick,
                     ),
                 )
-        # 4. Once per full rotation: announce failed edges, run the
-        #    reinforcement scan, and (when folded) the view-report
-        #    sample.  Announcements are debounced by one rotation:
-        #    striding means simultaneous victims can cross their
-        #    detector thresholds up to one probe_interval apart (the
-        #    crash lands mid-rotation, so edges in different slots see
-        #    one outcome more or less), and waiting a rotation after the
-        #    first verdict re-batches the whole wave into a single alert
-        #    batch — preserving the paper's one-shot multi-node cuts.
+        # 4. Once per full rotation: announce failed edges and run the
+        #    reinforcement and re-announce scans.  Announcements are
+        #    debounced by one rotation: striding means simultaneous
+        #    victims can cross their detector thresholds up to one
+        #    probe_interval apart (the crash lands mid-rotation, so edges
+        #    in different slots see one outcome more or less), and
+        #    waiting a rotation after the first verdict re-batches the
+        #    whole wave into a single alert batch — preserving the
+        #    paper's one-shot multi-node cuts.
         if tick % self._wheel_slots == 0:
             if self.status == NodeStatus.ACTIVE:
                 alerted = self._alerted
@@ -675,19 +668,6 @@ class RapidNode:
                 self.addr, self.runtime.now(), self.config.size, self.config.config_id
             )
 
-    def _report_tick(self) -> None:
-        """Dedicated report timer, used only when the report period does
-        not divide evenly into wheel sub-intervals (otherwise reporting
-        rides the wheel tick).  Dies with the membership like the wheel;
-        _install restarts it on a rejoin."""
-        if self.status in (NodeStatus.KICKED, NodeStatus.LEFT):
-            self._report_timer = None
-            return
-        self._record_report()
-        self._report_timer = self.runtime.schedule(
-            self.settings.report_interval, self._report_tick
-        )
-
     # ----------------------------------------------------------------- alerts
 
     def _enqueue_alert(self, alert: Alert) -> None:
@@ -828,15 +808,6 @@ class RapidNode:
             self._wheel_timer = self.runtime.schedule(
                 self.runtime.rng.uniform(0, self._sub_interval), self._wheel_tick
             )
-        if (
-            self._tick_started
-            and self._report_timer is None
-            and self.view_trace is not None
-            and self._report_every == 0
-        ):
-            self._report_timer = self.runtime.schedule(
-                self.settings.report_interval, self._report_tick
-            )
         self.view_changes_installed += 1
         self._m_view_changes.inc()
         self._m_node_views.inc()
@@ -956,10 +927,12 @@ class RapidNode:
         lowest-numbered ring of the configuration its JoinRequests were
         scoped to — deterministic per (joiner, configuration) pair, so
         all ``K`` observers agree without coordination and exactly one
-        sends the (view-sized) response.  With dedup disabled, or on the
-        very first install (no prior topology), everyone answers.
+        sends the (view-sized) response; the other ``K - 1`` stay silent,
+        and a lost response is recovered by the joiner's retry (the seed
+        re-sends the view when it finds the member already admitted).  On
+        the very first install (no prior topology) the node answers.
         """
-        if not self.settings.join_single_responder or topology is None:
+        if topology is None:
             return True
         return topology.observers_of(joiner)[0] == self.addr
 
@@ -993,12 +966,13 @@ class RapidNode:
         per endpoint wins: a member removed and re-admitted along the way
         nets to an add with its final uuid; a transient member both added
         and removed nets to a remove the base never saw — appliers skip
-        those).  ``None`` when deltas are off, the base fell off the
-        chain (or 0 = first-time joiner), or the composed delta would not
-        beat the full snapshot (``auto`` mode).  Memoized per (install,
-        base): a wave of rejoiners sharing a base costs one composition.
+        those).  ``None`` when the base fell off the chain (or 0 =
+        first-time joiner), or the composed delta would not beat the full
+        snapshot (:meth:`RapidSettings.send_join_delta`).  Memoized per
+        (install, base): a wave of rejoiners sharing a base costs one
+        composition.
         """
-        if base_id == 0 or self.settings.join_delta_mode == "off":
+        if base_id == 0:
             return None
         if base_id in self._delta_cache:
             return self._delta_cache[base_id]

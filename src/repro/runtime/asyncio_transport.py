@@ -27,7 +27,23 @@ from typing import Any, Callable, Optional
 from repro.core.node_id import Endpoint
 from repro.runtime.codec import CodecError, decode_bytes, encode_bytes
 
-__all__ = ["AsyncioRuntime", "open_local_socket", "run_local_cluster"]
+__all__ = [
+    "AsyncioRuntime",
+    "LOCAL_CLUSTER_SETTINGS",
+    "open_local_socket",
+    "run_local_cluster",
+]
+
+#: ``RapidSettings`` overrides :func:`run_local_cluster` uses when given
+#: none: tight timers for a handful of nodes on one host.
+LOCAL_CLUSTER_SETTINGS: dict = {
+    "probe_interval": 0.2,
+    "probe_timeout": 0.2,
+    "batching_window": 0.05,
+    "join_timeout": 1.0,
+    "consensus_fallback_timeout": 2.0,
+    "gossip_interval": 0.05,
+}
 
 
 def open_local_socket(host: str = "127.0.0.1") -> tuple:
@@ -187,14 +203,7 @@ async def run_local_cluster(
     from repro.core.membership import RapidNode
     from repro.core.settings import RapidSettings
 
-    settings = settings or RapidSettings(
-        probe_interval=0.2,
-        probe_timeout=0.2,
-        batching_window=0.05,
-        join_timeout=1.0,
-        consensus_fallback_timeout=2.0,
-        gossip_interval=0.05,
-    )
+    settings = settings or RapidSettings(**LOCAL_CLUSTER_SETTINGS)
     runtimes = []
     nodes = []
     try:

@@ -26,7 +26,7 @@ from repro.sim.faults import FaultRule
 from repro.sim.rng import child_rng
 from repro.sim.latency import LanLatency, LatencyModel
 
-__all__ = ["Network", "wire_size", "register_message_classes", "BandwidthStats"]
+__all__ = ["Network", "wire_size", "BandwidthStats"]
 
 _HEADER_BYTES = 28  # IP + UDP header estimate applied to every message.
 
@@ -140,27 +140,6 @@ def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
         return total
 
     return sizer
-
-
-def register_message_classes(*classes: type) -> None:
-    """Pre-register exact-type sizers for dataclass message classes.
-
-    Protocol and application modules call this at import time for their
-    wire vocabularies (``HttpRequest``, ``TsRequest``, ``WriteRequest``,
-    …), so ``messages.by_class`` byte accounting covers their traffic
-    from the first message, with no first-encounter compilation in the
-    hot send path.  Types already in the dispatch table (including ones
-    with hand-tuned sizers like ``VoteBundle``) are left untouched.
-    """
-    for cls in classes:
-        if cls in _SIZERS:
-            continue
-        if not dataclasses.is_dataclass(cls):
-            raise TypeError(
-                f"register_message_classes takes dataclass message types, "
-                f"got {cls!r}"
-            )
-        _SIZERS[cls] = _dataclass_sizer(cls)
 
 
 def _payload_size_slow(value: Any) -> int:

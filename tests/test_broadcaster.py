@@ -3,9 +3,9 @@
 import random
 
 from repro.core.broadcaster import (
+    RELAY_WINDOW,
     AdaptiveBroadcaster,
     GossipBroadcaster,
-    UnicastBroadcaster,
 )
 from repro.core.membership import RapidNode
 from repro.core.messages import GossipBundle, GossipEnvelope
@@ -113,9 +113,7 @@ class TestRelayBatching:
         """k first-seen envelopes within the window → one bundle per peer."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
-            runtime, lambda src, msg: None, fanout=3, relay_window=0.05
-        )
+        bcast = GossipBroadcaster(runtime, lambda src, msg: None, fanout=3)
         bcast.set_membership(view)
         for i in range(4):
             bcast.handle(
@@ -125,6 +123,7 @@ class TestRelayBatching:
                 ),
             )
         assert runtime.sent == []  # buffered, not yet relayed
+        assert [delay for delay, _ in runtime.timers] == [RELAY_WINDOW]
         runtime.fire_timers()
         assert len(runtime.sent) == 3  # one message per sampled peer
         for _, msg in runtime.sent:
@@ -136,9 +135,7 @@ class TestRelayBatching:
         """No bundle overhead when the window caught only one envelope."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
-            runtime, lambda src, msg: None, fanout=2, relay_window=0.05
-        )
+        bcast = GossipBroadcaster(runtime, lambda src, msg: None, fanout=2)
         bcast.set_membership(view)
         bcast.handle(
             view[1],
@@ -167,20 +164,6 @@ class TestRelayBatching:
         assert all(src == view[1] for src, _ in delivered)
         bcast.handle(view[3], bundle)  # replay: every envelope already seen
         assert len(delivered) == 3
-
-    def test_window_zero_relays_immediately(self):
-        view = members(8)
-        runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
-            runtime, lambda src, msg: None, fanout=2, relay_window=0.0
-        )
-        bcast.set_membership(view)
-        bcast.handle(
-            view[1],
-            GossipEnvelope(sender=view[1], message_id=1, hops_left=1, payload="p"),
-        )
-        assert len(runtime.sent) == 2
-        assert runtime.timers == []
 
 
 class TestAdaptiveBroadcaster:
@@ -234,9 +217,9 @@ class TestAdaptiveBroadcaster:
         node = RapidNode(runtime, RapidSettings(), seeds=(endpoint_for(0),))
         assert isinstance(node.broadcaster, AdaptiveBroadcaster)
         assert node.broadcaster.threshold == node.settings.gossip_threshold
-        unicast_node = RapidNode(
+        gossip_node = RapidNode(
             SimRuntime(engine, network, endpoint_for(1), seed=1),
-            RapidSettings(broadcast_mode=BroadcastMode.UNICAST_ALL),
+            RapidSettings(broadcast_mode=BroadcastMode.GOSSIP),
             seeds=(endpoint_for(0),),
         )
-        assert isinstance(unicast_node.broadcaster, UnicastBroadcaster)
+        assert type(gossip_node.broadcaster) is GossipBroadcaster

@@ -16,7 +16,7 @@ time.  Pins the properties the dissemination overhaul claims:
 import math
 import random
 
-from repro.core.fast_paxos import FastPaxos
+from repro.core.fast_paxos import PULL_FANOUT, FastPaxos
 from repro.core.messages import (
     AlertKind,
     Change,
@@ -171,8 +171,6 @@ class TestDeltaBundles:
         assert not auto.use_gossip(auto.gossip_threshold - 1)
         assert auto.use_gossip(auto.gossip_threshold)
         assert gossip_settings().use_gossip(2)
-        unicast = RapidSettings(broadcast_mode=BroadcastMode.UNICAST_ALL)
-        assert not unicast.use_gossip(10_000)
 
 
 class TestGossipDissemination:
@@ -205,40 +203,18 @@ class TestGossipDissemination:
         assert decisions <= {a, b}
         assert any(node.used_fallback for node in harness.nodes.values())
 
-    def test_gossip_stops_after_convergence(self):
-        """With pulls off, once nothing new is learned for k ticks the
-        timer goes fully quiet (the pre-pull contract, still available)."""
+    def test_pull_heartbeat_is_bounded_after_convergence(self):
+        """Undecided nodes keep a slow pull heartbeat after push gossip
+        converges — bounded by ``PULL_FANOUT`` digests per heartbeat
+        (``gossip_interval * gossip_convergence_ticks``) per node, each
+        earning at most one reply."""
         # Fallback pushed beyond the observation window so the only
         # possible traffic after convergence is vote gossip.
         settings = gossip_settings(
-            gossip_convergence_ticks=3,
-            consensus_fallback_timeout=10_000.0,
-            gossip_pull_mode="off",
+            gossip_convergence_ticks=3, consensus_fallback_timeout=10_000.0
         )
         # 8 voters in a 32-member view: quorum (24) is unreachable, so the
         # round converges (all 8 bits everywhere) without deciding.
-        harness = ConsensusHarness(32, settings, seed=5)
-        proposal = proposal_for(0)
-        for addr in harness.members[:8]:
-            node = harness.nodes[addr]
-            harness.engine.schedule(0.0, node.propose, proposal)
-        harness.engine.run(until=30.0)
-        sent_before = harness.network.sent_messages
-        harness.engine.run(until=60.0)
-        assert harness.network.sent_messages == sent_before
-        for addr in harness.members[:8]:
-            node = harness.nodes[addr]
-            assert not node.decided
-            assert node.votes[proposal].bit_count() == 8
-
-    def test_pull_heartbeat_is_bounded_after_convergence(self):
-        """With pulls on (the default in gossip mode), undecided nodes keep
-        a slow pull heartbeat after push gossip converges — bounded by
-        ``gossip_pull_fanout`` digests per ``pull_interval()`` per node
-        (each earning at most one reply)."""
-        settings = gossip_settings(
-            gossip_convergence_ticks=3, consensus_fallback_timeout=10_000.0
-        )
         n = 32
         harness = ConsensusHarness(n, settings, seed=5)
         proposal = proposal_for(0)
@@ -249,7 +225,8 @@ class TestGossipDissemination:
         window = 30.0
         harness.engine.run(until=30.0 + window)
         sent = harness.network.sent_messages - sent_before
-        per_node = settings.gossip_pull_fanout * (window / settings.pull_interval())
+        heartbeat = settings.gossip_interval * settings.gossip_convergence_ticks
+        per_node = PULL_FANOUT * (window / heartbeat)
         assert 0 < sent <= 2 * n * per_node, (sent, per_node)
         # The aggregate is still fully converged and undecided.
         for addr in harness.members[:8]:
@@ -292,10 +269,8 @@ class TestPullGossip:
         assert harness.nodes[b].decision == proposal
 
     def test_stale_tick_sends_pulls(self):
-        """A tick that learned nothing sends gossip_pull_fanout digests."""
-        settings = gossip_settings(
-            gossip_pull_fanout=2, consensus_fallback_timeout=10_000.0
-        )
+        """A tick that learned nothing sends PULL_FANOUT digests."""
+        settings = gossip_settings(consensus_fallback_timeout=10_000.0)
         harness = ConsensusHarness(16, settings, seed=9)
         node = harness.nodes[harness.members[0]]
         harness.engine.schedule(0.0, node.propose, proposal_for(0))
@@ -304,19 +279,18 @@ class TestPullGossip:
         harness.engine.run(until=2.0)
         pulls = counter_value(harness, "consensus.vote_pulls_sent")
         assert pulls > 0
-        assert node.pull_mode
+        assert node.gossip_mode
 
     def test_pull_mode_gating(self):
-        """use_pull follows gossip mode in auto, and the explicit knobs."""
-        auto = RapidSettings()
-        assert not auto.use_pull(auto.gossip_threshold - 1)
-        assert auto.use_pull(auto.gossip_threshold)
-        assert RapidSettings(gossip_pull_mode="on").use_pull(2)
-        assert not gossip_settings(gossip_pull_mode="off").use_pull(10_000)
-        assert RapidSettings().pull_interval() == (
-            RapidSettings().gossip_interval * RapidSettings().gossip_convergence_ticks
-        )
-        assert RapidSettings(gossip_pull_interval=2.5).pull_interval() == 2.5
+        """Pulls run exactly when votes are gossiped: below the gossip
+        threshold (unicast aggregate broadcast) a stale tick pulls nothing."""
+        settings = RapidSettings(consensus_fallback_timeout=10_000.0)
+        harness = ConsensusHarness(16, settings, seed=9)
+        node = harness.nodes[harness.members[0]]
+        assert not node.gossip_mode
+        harness.engine.schedule(0.0, node.propose, proposal_for(0))
+        harness.engine.run(until=2.0)
+        assert counter_value(harness, "consensus.vote_pulls_sent") == 0
 
 
 class TestScale:

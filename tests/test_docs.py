@@ -10,7 +10,9 @@ CLI flags dropped.  This test walks ``README.md`` and every page under
   (``repro.bench.runner.NONDETERMINISTIC_FIELDS``) resolves on the
   module;
 * ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers
-  (run, ``compare`` and ``summarize``).
+  (run, ``compare`` and ``summarize``);
+* every knob named in the first column of a ``| Knob |`` table is a
+  ``RapidSettings`` field.
 
 Run as part of tier-1 (and as a dedicated CI step), so a PR that renames
 something the docs point at fails until the docs follow.
@@ -32,7 +34,7 @@ _PATH_RE = re.compile(
 )
 
 #: Dotted repro-module references (``repro.bench.specs``,
-#: ``repro.core.settings.RapidSettings.probe_wheel_slots``, ...).
+#: ``repro.core.settings.RapidSettings.gossip_threshold``, ...).
 _MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 _CODE_SPAN_RE = re.compile(r"`([^`]+)`")
@@ -170,3 +172,29 @@ def test_bench_cli_flags_in_docs_exist():
 def test_committed_baseline_exists():
     """README/docs tell users to compare against the committed baseline."""
     assert (REPO / "BENCH_quick.json").exists()
+
+
+def test_knob_tables_name_settings_fields():
+    """Each backticked name in the first column of a ``| Knob |`` table
+    is a ``RapidSettings`` field: a deleted or renamed setting must take
+    its table row with it."""
+    import dataclasses
+
+    from repro.core.settings import RapidSettings
+
+    fields = {f.name for f in dataclasses.fields(RapidSettings)}
+    knobs = []
+    for doc in DOC_FILES:
+        in_table = False
+        for line in doc.read_text().splitlines():
+            if line.startswith("| Knob |"):
+                in_table = True
+                continue
+            if not (in_table and line.startswith("|")):
+                in_table = False
+                continue
+            first_cell = line.split("|")[1]
+            knobs.extend((doc.name, name) for name in _CODE_SPAN_RE.findall(first_cell))
+    assert knobs, "no | Knob | tables found in the docs"
+    unknown = [(doc, name) for doc, name in knobs if name not in fields]
+    assert not unknown, f"knob tables name settings that do not exist: {unknown}"

@@ -9,8 +9,8 @@ Pins the properties of the join/bootstrap dissemination overhaul:
   answered with a full snapshot or a delta (fallback equivalence);
 * ``UUID_IN_USE`` makes a rejoiner mint a fresh logical identity and
   still complete the join;
-* exactly one SAFE_TO_JOIN responder answers each admitted joiner when
-  ``join_single_responder`` is on, deterministically across seeds;
+* exactly one SAFE_TO_JOIN responder (the designated observer) answers
+  each admitted joiner, deterministically across seeds;
 * join retry timeouts are jittered and clear the in-flight config id.
 """
 
@@ -147,23 +147,17 @@ class TestDeltaRoundTrip:
 
     def test_join_delta_mode_validated(self):
         with pytest.raises(ValueError):
-            RapidSettings(join_delta_mode="sometimes")
-        with pytest.raises(ValueError):
             RapidSettings(join_retry_jitter=-0.1)
 
     def test_send_join_delta_modes(self):
-        auto = RapidSettings(join_delta_mode="auto")
-        assert auto.send_join_delta(3, 100)
-        assert not auto.send_join_delta(100, 100)
-        assert RapidSettings(join_delta_mode="on").send_join_delta(100, 1)
-        assert not RapidSettings(join_delta_mode="off").send_join_delta(1, 100)
+        settings = RapidSettings()
+        assert settings.send_join_delta(3, 100)
+        assert not settings.send_join_delta(100, 100)
 
 
 class TestRejoinPaths:
-    def _leave_and_rejoin(self, mode: str, rejoin_after: float = 8.0):
-        cluster = harness_for(
-            "rapid", seed=3, settings=settings_for_tests(join_delta_mode=mode)
-        )
+    def _leave_and_rejoin(self, rejoin_after: float = 8.0):
+        cluster = harness_for("rapid", seed=3, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(10, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
@@ -180,21 +174,29 @@ class TestRejoinPaths:
         # ViewDelta, and the rejoiner must complete from it (a failed
         # apply would fall back to a full-snapshot retry, which would
         # show up as a second, "view"-kind response here).
-        cluster, node, recorder = self._leave_and_rejoin("on")
+        cluster, node, recorder = self._leave_and_rejoin()
         assert node.status == NodeStatus.ACTIVE
         assert cluster.distinct_views() == {node.config.config_id}
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
         assert kinds == ["delta"]
 
     def test_delta_and_snapshot_paths_install_identical_views(self):
-        # Fallback equivalence: the same churn, answered with deltas
-        # enabled and disabled, must converge on the same installed
-        # configuration id for the rejoiner as for everyone else.
-        for mode in ("auto", "off"):
-            cluster, node, _ = self._leave_and_rejoin(mode)
-            views = cluster.distinct_views()
-            assert views == {node.config.config_id}, mode
-            assert node.config.size == 10
+        # Fallback equivalence: a rejoiner answered with a delta and a
+        # first-time joiner answered with a full snapshot must converge
+        # on the same installed configuration id as everyone else.
+        cluster, node, recorder = self._leave_and_rejoin()
+        assert node.config.size == 10
+        newcomer = endpoint_for(50)
+        recorder.responses.clear()
+        cluster.add_node(
+            newcomer, seeds=(endpoint_for(0),), start_at=cluster.engine.now + 0.1
+        )
+        assert cluster.run_until_converged(11, timeout=120.0) is not None
+        kinds = [r[4] for r in recorder.safe_to_join() if r[1] == newcomer]
+        assert kinds == ["view"]
+        assert cluster.distinct_views() == {
+            cluster.agents[newcomer].config.config_id
+        }
 
     def test_uuid_in_use_mints_fresh_identity(self):
         # Rejoin immediately: the old incarnation is still in everyone's
@@ -281,27 +283,6 @@ class TestSingleResponder:
             }
 
         assert responder_map(5) == responder_map(5)
-
-    def test_disabled_dedup_restores_k_responders(self):
-        cluster = harness_for(
-            "rapid", seed=1, settings=settings_for_tests(join_single_responder=False)
-        )
-        recorder = RecordingNetwork(cluster)
-        cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
-        assert cluster.run_until_converged(12, timeout=120.0) is not None
-        multi = [
-            senders
-            for (dst, seq), senders in _group(recorder.safe_to_join()).items()
-            if len(senders) > 1
-        ]
-        assert multi, "expected some admissions answered by several observers"
-
-
-def _group(responses):
-    grouped: dict = {}
-    for sender, dst, _, seq, _ in responses:
-        grouped.setdefault((dst, seq), []).append(sender)
-    return grouped
 
 
 class _FakeJoiner:

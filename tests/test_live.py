@@ -106,48 +106,62 @@ def test_parity_table_renders_every_class():
         assert row.name in table
 
 
-def test_codec_registry_covers_sizer_registry():
-    """Every protocol/app dataclass the sim can size, the codec carries.
+def _wire_message_classes():
+    """The frozen dataclasses defined in the protocol and app message
+    modules: everything a simulated run can put on the wire."""
+    from repro.apps import service_discovery, txn_platform
+    from repro.core import messages
 
-    Scoped to ``repro.core`` / ``repro.apps``: the sizer registry also
-    holds builtin container types (its sizing recursion bottoms out
-    there) and — once a sim test has run — lazily-added baseline message
-    classes (SWIM, ZooKeeper, ...), which never cross a real wire and
-    have no codec entry by design.
+    return [
+        obj
+        for module in (messages, service_discovery, txn_platform)
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        and obj.__dataclass_params__.frozen
+    ]
+
+
+def test_codec_registry_covers_sizer_registry():
+    """Every protocol/app message the sim can size, the codec carries.
+
+    Enumerated from the defining modules rather than the sizer's cache,
+    which only holds the types a run has already sent.  Baseline message
+    classes (SWIM, ZooKeeper, ...) never cross a real wire and have no
+    codec entry by design.
     """
-    registered = set(codec.registered_classes().values())
-    sized_wire_classes = {
-        cls
-        for cls in network._SIZERS
-        if dataclasses.is_dataclass(cls)
-        and cls.__module__.startswith(("repro.core", "repro.apps"))
-    }
-    missing = sized_wire_classes - registered
-    assert not missing, (
-        f"classes with a sim sizer but no codec registration: "
-        f"{sorted(c.__name__ for c in missing)}"
-    )
+    registry = codec.registered_classes()
+    classes = _wire_message_classes()
+    assert len(classes) > 20
+    missing = [cls.__name__ for cls in classes if registry.get(cls.__name__) is not cls]
+    assert not missing, f"message classes with no codec registration: {missing}"
 
 
 def test_app_message_classes_registered_in_both_registries():
-    app_classes = [
-        "HttpRequest",
-        "HttpResponse",
-        "TsRequest",
-        "TsResponse",
-        "WriteRequest",
-        "WriteAck",
-        "ViewRequest",
-        "ViewResponse",
-        "NotSerializer",
-    ]
-    registry = codec.registered_classes()
-    for name in app_classes:
-        assert name in registry, f"{name} not codec-registered"
-        assert registry[name] in network._SIZERS, f"{name} has no sim sizer"
-        # And the shared sample round-trips with real field values.
-        msg = sample_message(name)
-        assert codec.decode_bytes(codec.encode_bytes(msg)) == msg
+    """Every wire message round-trips the codec and has a sim wire size."""
+    for cls in _wire_message_classes():
+        msg = sample_message(cls.__name__)
+        assert codec.decode_bytes(codec.encode_bytes(msg)) == msg, cls.__name__
+        assert network.wire_size(msg) > 0, cls.__name__
+
+
+def test_report_interval_must_be_whole_sub_intervals():
+    """View reports ride the probe wheel, so ``report_interval`` must be a
+    whole number of wheel sub-intervals (``probe_interval / 2``); every
+    shipped profile satisfies that."""
+    from repro.experiments.live import LIVE_SETTINGS
+    from repro.runtime.asyncio_transport import LOCAL_CLUSTER_SETTINGS
+
+    with pytest.raises(ValueError, match="report_interval"):
+        RapidSettings(report_interval=0.3)
+    with pytest.raises(ValueError, match="report_interval"):
+        RapidSettings(report_interval=0.25)  # shorter than one sub-interval
+    with pytest.raises(ValueError, match="report_interval"):
+        RapidSettings(k=1, h=1, l=1, report_interval=0.5)  # one slot when K=1
+    RapidSettings(k=1, h=1, l=1, report_interval=2.0)
+    for profile in ({}, LIVE_SETTINGS, FAST, LOCAL_CLUSTER_SETTINGS):
+        RapidSettings(**profile)
 
 
 def test_tuple_fields_survive_round_trip():
